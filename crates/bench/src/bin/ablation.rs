@@ -1,4 +1,4 @@
-//! Ablations for the design choices called out in DESIGN.md:
+//! Ablations for the engine's main design choices:
 //!
 //! 1. Ch. V.F enhancement 1 — simultaneous multi-merging vs plain greedy
 //!    (runtime vs wirelength).

@@ -60,7 +60,9 @@
 //! standing session flushes "move k of n sinks" batches (away and back,
 //! best-of reps) against a from-scratch route of the same edited
 //! instance. Every flush is asserted bit-identical to the from-scratch
-//! tree (`"wirelength_bit_equal": true`), and at k=1, n ≥ 4000 the
+//! tree (`"wirelength_bit_equal": true`); a structural cycle then deletes
+//! the k sinks and inserts them back, asserting each flush bit-identical
+//! and replayed (never a full reroute). At k=1, n ≥ 4000 the
 //! `speedup_incremental_vs_scratch` is gated at ≥ 2.0x in-binary — the
 //! dirty-region replay must stay sublinear in n.
 //!
@@ -87,7 +89,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -95,13 +97,15 @@ use astdme_bench::{json, PAPER_BOUND};
 use astdme_core::{
     route_batch, route_batch_cached, route_stream, run_bottom_up, run_bottom_up_from_scratch,
     sweep, AstDme, BatchPlan, ClockRouter, CostModel, DelayModel, EcoEdit, EcoSession,
-    EngineConfig, Instance, PerturbationSpec, Point, StreamPolicy, SubtreeCache, SweepConfig,
-    TopoConfig,
+    EngineConfig, Groups, Instance, PerturbationSpec, Point, StreamPolicy, SubtreeCache,
+    SweepConfig, TopoConfig,
 };
 use astdme_instances::{partition, synthetic_instance};
 
 /// Counting wrapper around the system allocator: every `alloc`/`realloc`
-/// bumps a relaxed atomic. Unlike wall-clock timings, the counts are
+/// bumps the allocating thread's [`astdme_core::allocmeter`] counter, so
+/// a delta read on one thread counts that thread's work only. Unlike
+/// wall-clock timings, the counts are
 /// deterministic for a fixed code path, which makes `allocs_per_merge`
 /// a regressable number — the witness that the merge hot path performs
 /// O(1) amortized allocations per merge (no per-pair scratch or delay-map
@@ -112,13 +116,10 @@ use astdme_instances::{partition, synthetic_instance};
 /// their own copy; keep them counting the same events.
 struct CountingAlloc;
 
-static ALLOC_COUNT: AtomicU64 = AtomicU64::new(0);
-
 // SAFETY: delegates directly to `System`; the counter has no effect on the
 // returned memory.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_COUNT.fetch_add(1, Ordering::Relaxed);
         astdme_core::allocmeter::on_alloc();
         unsafe { System.alloc(layout) }
     }
@@ -128,7 +129,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_COUNT.fetch_add(1, Ordering::Relaxed);
         astdme_core::allocmeter::on_alloc();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -137,9 +137,10 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Allocations since process start (monotone; read deltas around a region).
+/// Allocations on this thread since it started (monotone; read deltas
+/// around a region).
 fn alloc_count() -> u64 {
-    ALLOC_COUNT.load(Ordering::Relaxed)
+    astdme_core::allocmeter::current()
 }
 
 /// Default sink counts, straddling the paper's r1–r5 range (267–3101) up
@@ -698,6 +699,11 @@ const ECO_GATE_MIN_N: usize = 4000;
 /// [`measure`]. Every flush is asserted **bit-identical** (tree and audit
 /// report) to a from-scratch route of the instance it lands on; the
 /// from-scratch comparison time is itself the best of `ECO_REPS` runs.
+///
+/// A structural cycle follows: delete the k sinks, then insert them back
+/// (appended, so at new indices). Every such flush must also be
+/// bit-identical to a from-scratch route and must replay through the
+/// session's sink-identity map, never fall back to a full reroute.
 fn measure_eco(n: usize, k: usize) -> EcoMeasurement {
     const ECO_REPS: usize = 4;
     let inst = instance_seeded(n, SEED ^ 0x0EC0);
@@ -781,6 +787,56 @@ fn measure_eco(n: usize, k: usize) -> EcoMeasurement {
         }
     }
 
+    // The session stands on the home instance again. Deleting the targets
+    // lands on `kept`; inserting them back appends them, so the cycle's
+    // far end is `kept` followed by the targets. Later reps delete the
+    // appended copies (the last k indices) instead.
+    let kept: Vec<usize> = (0..n).filter(|s| !targets.contains(s)).collect();
+    let appended: Vec<usize> = kept.iter().chain(&targets).copied().collect();
+    let want_kept = router
+        .route_traced(&reordered(&inst, &kept))
+        .expect("routes");
+    let want_appended = router
+        .route_traced(&reordered(&inst, &appended))
+        .expect("routes");
+    let inserts: Vec<EcoEdit> = targets
+        .iter()
+        .map(|&s| EcoEdit::Insert {
+            sink: inst.sinks()[s],
+            group: inst.group_of(s),
+        })
+        .collect();
+    for rep in 0..ECO_REPS {
+        let deletes: Vec<EcoEdit> = if rep == 0 {
+            targets
+                .iter()
+                .rev()
+                .map(|&sink| EcoEdit::Delete { sink })
+                .collect()
+        } else {
+            (n - k..n)
+                .rev()
+                .map(|sink| EcoEdit::Delete { sink })
+                .collect()
+        };
+        for (edits, want) in [(&deletes, &want_kept), (&inserts, &want_appended)] {
+            for edit in edits.iter() {
+                session.queue(*edit);
+            }
+            let out = session.flush().expect("flushes");
+            assert!(
+                out.tree == want.tree && out.report == want.report,
+                "structural ECO flush diverged from from-scratch at n={n} k={k} rep={rep}"
+            );
+            let fs = session.last_flush();
+            assert!(
+                !fs.full_reroute,
+                "structural ECO flush fell back ({:?}) at n={n} k={k} rep={rep}",
+                fs.reroute_reason
+            );
+        }
+    }
+
     let m = EcoMeasurement {
         n,
         k,
@@ -804,6 +860,17 @@ fn measure_eco(n: usize, k: usize) -> EcoMeasurement {
         );
     }
     m
+}
+
+/// `inst` restricted to the sinks `order` lists, in that order, with their
+/// groups; bounds, RC and source carry over.
+fn reordered(inst: &Instance, order: &[usize]) -> Instance {
+    let sinks = order.iter().map(|&s| inst.sinks()[s]).collect();
+    let assignment = order.iter().map(|&s| inst.group_of(s).index()).collect();
+    let groups = Groups::from_assignments(assignment, inst.groups().group_count())
+        .and_then(|g| g.with_bounds(inst.groups().bounds().to_vec()))
+        .expect("valid groups");
+    Instance::new(sinks, groups, *inst.rc(), inst.source()).expect("valid instance")
 }
 
 /// One latency measurement: what the stream and the persistent pool buy

@@ -1,4 +1,4 @@
-//! A process-wide allocation counter the pipeline samples per stage.
+//! A per-thread allocation counter the pipeline samples per stage.
 //!
 //! The library crates forbid `unsafe`, so the `GlobalAlloc` shim itself
 //! lives in whichever *binary* wants allocation accounting (the scaling
@@ -8,24 +8,32 @@
 //! [`StageStats::allocs`](crate::StageStats). In a binary without an
 //! instrumented allocator the counter simply stays at zero and every
 //! reported delta is zero — the accounting is free to ignore.
+//!
+//! The counter is per thread: a delta read on one thread counts that
+//! thread's allocations only, so concurrent routes (fleet workers, sibling
+//! tests in one harness) never inflate each other's figures. Allocations a
+//! stage hands off to pool workers are not part of its delta.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-/// Allocations observed process-wide since start.
-static COUNT: AtomicU64 = AtomicU64::new(0);
-
-/// Records one allocation. Called by an instrumented `GlobalAlloc` in the
-/// hosting binary; relaxed ordering — this is a statistics counter, not a
-/// synchronization point.
-#[inline]
-pub fn on_alloc() {
-    COUNT.fetch_add(1, Ordering::Relaxed);
+thread_local! {
+    /// Allocations observed on this thread since it started. `const`
+    /// initialized and drop-free, so bumping it from inside a global
+    /// allocator never allocates or registers a destructor.
+    static COUNT: Cell<u64> = const { Cell::new(0) };
 }
 
-/// The current process-wide allocation count.
+/// Records one allocation on the calling thread. Called by an
+/// instrumented `GlobalAlloc` in the hosting binary.
+#[inline]
+pub fn on_alloc() {
+    COUNT.with(|c| c.set(c.get() + 1));
+}
+
+/// The calling thread's allocation count.
 #[inline]
 pub fn current() -> u64 {
-    COUNT.load(Ordering::Relaxed)
+    COUNT.with(Cell::get)
 }
 
 #[cfg(test)]
@@ -33,12 +41,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_is_monotonic() {
+    fn counter_counts_this_thread_only() {
         let before = current();
         on_alloc();
         on_alloc();
-        // Other test threads may bump it concurrently; only monotonicity
-        // and our own two increments are guaranteed.
-        assert!(current() >= before + 2);
+        // A pool helper's allocation lands on the helper's counter.
+        astdme_par::scope_with(1, &|_| on_alloc(), |_| ());
+        assert_eq!(current(), before + 2);
     }
 }

@@ -31,9 +31,16 @@
 //! class-fusion epochs). On `flush`, the edited instance is rerouted
 //! against this script:
 //!
-//! * Clean sinks map leaf-for-leaf onto the standing forest; dirty sinks
-//!   (position or load bits changed) get no mapping, which transitively
-//!   unmaps exactly their merge-path ancestors — the *dirty cone*.
+//! * Every sink carries its identity through the batch: `apply_edits`
+//!   records, per edited sink, the standing index it came from (`None`
+//!   for an insert; a delete drops its entry, mirroring `Vec::remove`).
+//!   A surviving sink whose position, load, and group bits are unchanged
+//!   maps onto its standing leaf; inserted and changed sinks get no
+//!   mapping, and deleted leaves have no counterpart. Either way exactly
+//!   their merge-path ancestors lose their mapping — the *dirty cone*.
+//!   A merge's result depends only on its two children's candidate
+//!   lists, the class state, and the engine config, so everything outside
+//!   the cone replays verbatim.
 //! * Each round, subtrees with a standing counterpart **inherit** the
 //!   recorded nearest-neighbor entry (key-translated); subtrees in the
 //!   dirty cone run a fresh nearest-neighbor scan and may *take over* an
@@ -51,9 +58,11 @@
 //! from-scratch route of the edited instance** — same tree, same audit
 //! report, at every thread count. Update latency is sublinear in `n` for
 //! small edit sets: inherited entries cost `O(1)` each, and fresh scans
-//! are bounded by a work budget (the session falls back to a full reroute
-//! when an edit storm exhausts it, or when the edit changes the instance
-//! structurally — sink count, group shape, or RC technology).
+//! are bounded by a work budget. Moves, retunes, inserts, and deletes all
+//! replay; a flush falls back to a full reroute only when the RC
+//! technology or the group bounds change, when a cached session's
+//! normalization anchor drifts, or when an edit storm exhausts the
+//! budget ([`EcoStats::reroute_reason`] says which).
 //!
 //! Replay is recorded for [`MergeStage::Flat`] plans under
 //! [`MergeOrder::MultiMerge`] (the default of every router except the
@@ -124,6 +133,10 @@ const NO_LOG: u32 = u32::MAX;
 /// session's instance *at the point the edit applies* — edits in a batch
 /// apply sequentially, so a [`EcoEdit::Delete`] shifts the indices later
 /// edits in the same batch see, exactly like `Vec::remove`.
+///
+/// Moves, retunes, inserts, and deletes replay incrementally: only the
+/// touched sinks' merge-path cones are recomputed. [`EcoEdit::RetuneRc`]
+/// changes every merge's delays and always forces a full reroute.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum EcoEdit {
     /// Move a sink to a new position.
@@ -162,8 +175,9 @@ pub enum EcoEdit {
 pub struct EcoStats {
     /// Edits in the flushed batch.
     pub edits: usize,
-    /// Sinks whose position or load actually changed (net, after
-    /// cancelling edits), or the full sink count on a structural change.
+    /// Sinks the batch touched, net after cancelling edits: inserted
+    /// ones, surviving ones whose position or load changed, and deleted
+    /// ones. A replayed flush counts in the routed frame.
     pub dirty_sinks: usize,
     /// Merges satisfied by adopting a recorded merge bit-for-bit.
     pub adopted_merges: usize,
@@ -175,8 +189,11 @@ pub struct EcoStats {
     /// Planning rounds re-planned from scratch (brute-force tail rounds
     /// and rounds the recording could not cover).
     pub planned_rounds: usize,
-    /// Whether the flush fell back to a full pipeline reroute.
+    /// Whether the flush fell back to a full pipeline reroute; always
+    /// `reroute_reason.is_some()`.
     pub full_reroute: bool,
+    /// Why the flush fell back to a full reroute, if it did.
+    pub reroute_reason: Option<RerouteReason>,
     /// Whether the flush was satisfied by a subtree-cache hit.
     pub cache_hit: bool,
     /// Whether the batch was a net no-op (standing tree returned
@@ -184,6 +201,34 @@ pub struct EcoStats {
     pub noop: bool,
     /// Wall-clock seconds of the whole flush.
     pub seconds: f64,
+}
+
+/// Why an [`EcoSession::flush`] fell back to a full pipeline reroute
+/// instead of replaying the standing route.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RerouteReason {
+    /// A [`EcoEdit::RetuneRc`] changed the interconnect technology, which
+    /// changes every merge's delays.
+    RcChanged,
+    /// The groups' skew bounds changed, which changes every merge's
+    /// feasibility.
+    BoundsChanged,
+    /// In a cached session, the edit moved the bounding-box minimum corner
+    /// the normalized frame is anchored at (or the frame could not be
+    /// reproduced), so clean sinks no longer land on their recorded
+    /// coordinates.
+    AnchorDrift,
+    /// The replay's fresh nearest-neighbor scans exhausted the work
+    /// budget.
+    ScanBudget,
+    /// The plan's merge loop is not recorded (greedy order or the
+    /// per-group stitching script).
+    NotRecordable,
+    /// The session holds no recording to replay (the previous flush was a
+    /// cache hit).
+    NoRecording,
+    /// A replayed round selected no pair to merge.
+    EmptyRound,
 }
 
 /// One planning round of the standing route: the planner's
@@ -318,33 +363,29 @@ impl EcoSession {
             self.last_flush = stats;
             return Ok(&self.outcome);
         }
-        let edited = apply_edits(&self.inst, &edits)?;
+        let (edited, origin) = apply_edits(&self.inst, &edits)?;
         if instance_bits_equal(&edited, &self.inst) {
             stats.noop = true;
             stats.seconds = t0.seconds();
             self.last_flush = stats;
             return Ok(&self.outcome);
         }
-        let structural = edited.sink_count() != self.inst.sink_count()
-            || edited.groups().assignment() != self.inst.groups().assignment()
-            || !bits_equal(edited.groups().bounds(), self.inst.groups().bounds())
-            || !rc_bits_equal(edited.rc(), self.inst.rc());
-        stats.dirty_sinks = if structural {
-            edited.sink_count()
+        let global = if !rc_bits_equal(edited.rc(), self.inst.rc()) {
+            Some(RerouteReason::RcChanged)
+        } else if !bits_equal(edited.groups().bounds(), self.inst.groups().bounds()) {
+            Some(RerouteReason::BoundsChanged)
         } else {
-            edited
-                .sinks()
-                .iter()
-                .zip(self.inst.sinks())
-                .filter(|(a, b)| !sink_bits_equal(a, b))
-                .count()
+            None
         };
+        let map = leaf_map(&edited, &self.inst, &origin);
+        stats.dirty_sinks = touched_sinks(&map, &origin, self.inst.sink_count());
         let (outcome, rec) = route_edited(
             &self.plan,
             self.cache.as_ref(),
             self.rec.as_ref(),
             &edited,
-            structural,
+            &origin,
+            global,
             &mut stats,
         )?;
         self.inst = edited;
@@ -392,10 +433,43 @@ fn instance_bits_equal(a: &Instance, b: &Instance) -> bool {
         && rc_bits_equal(a.rc(), b.rc())
 }
 
+/// The leaf map of an edited instance onto the standing one: edited sink
+/// `i` maps to standing sink `origin[i]` when it survived the batch with
+/// its position, load, and group intact, else (inserted or changed) to
+/// [`NO_NODE`].
+fn leaf_map(edited: &Instance, standing: &Instance, origin: &[Option<usize>]) -> Vec<u32> {
+    origin
+        .iter()
+        .enumerate()
+        .map(|(i, &o)| match o {
+            Some(o)
+                if sink_bits_equal(&edited.sinks()[i], &standing.sinks()[o])
+                    && edited.group_of(i) == standing.group_of(o) =>
+            {
+                o as u32
+            }
+            _ => NO_NODE,
+        })
+        .collect()
+}
+
+/// Sinks a batch touched: the unmapped edited sinks (inserted or changed)
+/// plus the deleted standing sinks (those no edited sink came from).
+fn touched_sinks(map: &[u32], origin: &[Option<usize>], standing_n: usize) -> usize {
+    let unmapped = map.iter().filter(|&&m| m == NO_NODE).count();
+    unmapped + standing_n - origin.iter().flatten().count()
+}
+
 /// Applies the batch sequentially to the standing instance and rebuilds a
-/// validated [`Instance`]. Bounds and the source are preserved.
-fn apply_edits(standing: &Instance, edits: &[EcoEdit]) -> Result<Instance, RouteError> {
+/// validated [`Instance`]. Bounds and the source are preserved. Also
+/// returns, per edited sink, the standing index it came from (`None` for
+/// an inserted sink).
+fn apply_edits(
+    standing: &Instance,
+    edits: &[EcoEdit],
+) -> Result<(Instance, Vec<Option<usize>>), RouteError> {
     let mut sinks = standing.sinks().to_vec();
+    let mut origin: Vec<Option<usize>> = (0..sinks.len()).map(Some).collect();
     let mut assignment = standing.groups().assignment();
     let mut rc = *standing.rc();
     let group_count = standing.groups().group_count();
@@ -424,6 +498,7 @@ fn apply_edits(standing: &Instance, edits: &[EcoEdit]) -> Result<Instance, Route
                 }
                 sinks.push(sink);
                 assignment.push(group.index());
+                origin.push(None);
             }
             EcoEdit::Delete { sink } => {
                 if sink >= sinks.len() {
@@ -431,13 +506,15 @@ fn apply_edits(standing: &Instance, edits: &[EcoEdit]) -> Result<Instance, Route
                 }
                 sinks.remove(sink);
                 assignment.remove(sink);
+                origin.remove(sink);
             }
             EcoEdit::RetuneRc(params) => rc = params,
         }
     }
     let groups = Groups::from_assignments(assignment, group_count)?
         .with_bounds(standing.groups().bounds().to_vec())?;
-    Ok(Instance::new(sinks, groups, rc, standing.source())?)
+    let edited = Instance::new(sinks, groups, rc, standing.source())?;
+    Ok((edited, origin))
 }
 
 fn bad_edit(i: usize, verb: &str, sink: usize, len: usize) -> RouteError {
@@ -447,15 +524,18 @@ fn bad_edit(i: usize, verb: &str, sink: usize, len: usize) -> RouteError {
 }
 
 /// Routes the edited instance, cheapest strategy first: subtree-cache
-/// splice, then recorded replay, then full reroute.
+/// splice, then recorded replay, then full reroute. `global` names an
+/// edit that changes every merge (RC technology or bounds), which no
+/// replay can survive.
 fn route_edited(
     plan: &StagePlan,
     cache: Option<&SubtreeCache>,
     standing: Option<&Recording>,
     edited: &Instance,
-    structural: bool,
+    origin: &[Option<usize>],
+    global: Option<RerouteReason>,
     stats: &mut EcoStats,
-) -> Result<(RouteOutcome, Option<Recording>), RouteError> {
+) -> Result<Routed, RouteError> {
     // Cached sessions: a flush whose edited instance is already memoized
     // splices it, bit-identical to the cached pipeline's hit path. (For
     // non-recordable plans the pipeline call below does its own lookup.)
@@ -491,13 +571,16 @@ fn route_edited(
             }
         }
     }
-    if !structural && recordable(plan) {
-        if let Some(rec) = standing {
-            if let Some(done) = try_replay(plan, cache, rec, edited, stats)? {
-                return Ok(done);
-            }
-        }
-    }
+    let reason = match (global, standing) {
+        _ if !recordable(plan) => RerouteReason::NotRecordable,
+        (Some(reason), _) => reason,
+        (None, None) => RerouteReason::NoRecording,
+        (None, Some(rec)) => match try_replay(plan, cache, rec, edited, origin, stats)? {
+            Ok(done) => return Ok(done),
+            Err(reason) => reason,
+        },
+    };
+    stats.reroute_reason = Some(reason);
     stats.full_reroute = true;
     let (mut outcome, recording) = route_full(edited, plan, cache)?;
     if cache.is_some() && outcome.stats.cache_hits == 0 {
@@ -512,7 +595,7 @@ fn route_full(
     inst: &Instance,
     plan: &StagePlan,
     cache: Option<&SubtreeCache>,
-) -> Result<(RouteOutcome, Option<Recording>), RouteError> {
+) -> Result<Routed, RouteError> {
     if !recordable(plan) {
         let outcome = match cache {
             Some(c) => pipeline::run_with_cache(inst, plan, c)?,
@@ -546,7 +629,7 @@ fn route_recorded(
     inst: &Instance,
     plan: &StagePlan,
     framed: Option<(Instance, Point, &SubtreeCache)>,
-) -> Result<(RouteOutcome, Option<Recording>), RouteError> {
+) -> Result<Routed, RouteError> {
     let mut stats = RouteStats::default();
 
     // Stage 1: group (and fingerprint, in the cached frame).
@@ -697,16 +780,20 @@ fn merge_until_one_recorded(
     (NodeId::from_index(planner.sole_key()), trace, rec, rounds)
 }
 
-/// Attempts a replayed flush. `Ok(None)` means the replay could not run
-/// (frame drift, work budget exhausted, sink-count drift) — fall back to
-/// a full reroute.
+/// A routed outcome and the recording the next flush replays against.
+type Routed = (RouteOutcome, Option<Recording>);
+
+/// Attempts a replayed flush. `Ok(Err(reason))` means the replay could
+/// not run (anchor drift, work budget exhausted) — fall back to a full
+/// reroute.
 fn try_replay(
     plan: &StagePlan,
     cache: Option<&SubtreeCache>,
     rec: &Recording,
     edited: &Instance,
+    origin: &[Option<usize>],
     stats: &mut EcoStats,
-) -> Result<Option<(RouteOutcome, Option<Recording>)>, RouteError> {
+) -> Result<Result<Routed, RerouteReason>, RouteError> {
     let mut rstats = RouteStats::default();
 
     // Stage 1: frame and group the edited instance like the recording.
@@ -714,54 +801,41 @@ fn try_replay(
     let a0 = allocmeter::current();
     let framed_owned;
     let mut anchor: Option<Point> = None;
-    let framed: &Instance = match rec.anchor {
-        None => {
-            if cache.is_some() {
-                return Ok(None);
-            }
-            edited
-        }
-        Some((axb, ayb)) => {
-            if cache.is_none() {
-                return Ok(None);
-            }
+    let framed: &Instance = match (rec.anchor, cache) {
+        (None, None) => edited,
+        (Some((axb, ayb)), Some(_)) => {
             let bb = edited.bounding_box();
             // The anchor must not drift: normalization must subtract the
             // exact same bits as the standing route, or clean sinks would
             // land on different normalized coordinates.
             if (bb.x0().to_bits(), bb.y0().to_bits()) != (axb, ayb) {
-                return Ok(None);
+                return Ok(Err(RerouteReason::AnchorDrift));
             }
             let Ok(norm) = edited.translated(-bb.x0(), -bb.y0()) else {
-                return Ok(None);
+                return Ok(Err(RerouteReason::AnchorDrift));
             };
             anchor = Some(Point::new(bb.x0(), bb.y0()));
             framed_owned = norm;
             &framed_owned
         }
+        // A cached session whose normalization overflowed routed raw.
+        _ => return Ok(Err(RerouteReason::AnchorDrift)),
     };
     let regrouped = derive_grouping(framed, plan)?;
     let routed_edited = regrouped.unwrap_or_else(|| framed.clone());
-    if routed_edited.sink_count() != rec.routed.sink_count() {
-        return Ok(None);
-    }
     let model = plan.model.unwrap_or(DelayModel::elmore(*edited.rc()));
-    // The dirty set, in the routed frame: sinks whose bits changed.
-    let dirty: Vec<bool> = routed_edited
-        .sinks()
-        .iter()
-        .zip(rec.routed.sinks())
-        .map(|(a, b)| !sink_bits_equal(a, b))
-        .collect();
-    stats.dirty_sinks = dirty.iter().filter(|&&d| d).count();
+    // The leaf map and the touched set, in the routed frame.
+    let map = leaf_map(&routed_edited, &rec.routed, origin);
+    stats.dirty_sinks = touched_sinks(&map, origin, rec.routed.sink_count());
     rstats.group.seconds = t0.seconds();
     rstats.group.allocs = allocmeter::current().saturating_sub(a0);
 
     // Stage 2: the replay proper.
     let t0 = Stopwatch::start();
     let a0 = allocmeter::current();
-    let Some(rep) = replay_merges(rec, &routed_edited, model, plan, &dirty) else {
-        return Ok(None);
+    let rep = match replay_merges(rec, &routed_edited, model, plan, &map, stats.dirty_sinks) {
+        Ok(rep) => rep,
+        Err(reason) => return Ok(Err(reason)),
     };
     rstats.merge = StageStats {
         seconds: t0.seconds(),
@@ -840,7 +914,7 @@ fn try_replay(
         merges: rep.merges,
         rounds: rep.rounds,
     };
-    Ok(Some((
+    Ok(Ok((
         RouteOutcome {
             tree,
             report,
@@ -886,28 +960,32 @@ struct Replayed {
 /// the planner's exact selection semantics. Selected pairs whose children
 /// both map onto one recorded merge (same orientation) are adopted
 /// bit-for-bit; the rest merge fresh. Fresh scans are charged against a
-/// work budget of `(64·n + 65536) · max(k, 1)` subtree visits for a
-/// k-sink dirty set — the scans are what the dirty cone costs, so the
-/// allowance scales with it; exhausting the budget returns `None` (fall
-/// back to a full reroute) so flush latency stays bounded even when a
-/// replay degenerates.
+/// work budget of `(64·n + 65536) · max(k, 1)` subtree visits for `k`
+/// touched (inserted, changed, or deleted) sinks — the scans are what the
+/// dirty cone costs, so the allowance scales with it; exhausting the
+/// budget returns [`RerouteReason::ScanBudget`] (fall back to a full
+/// reroute) so flush latency stays bounded even when a replay
+/// degenerates.
 ///
-/// Returns `None` also if a round produced no entries — never the case
-/// for well-formed recordings, but cheap to guard.
+/// `leaf_map[i]` is edited leaf `i`'s standing counterpart, or
+/// [`NO_NODE`]. Returns [`RerouteReason::EmptyRound`] if a round selected
+/// no pair — never the case for well-formed recordings, but cheap to
+/// guard.
 fn replay_merges(
     rec: &Recording,
     edited: &Instance,
     model: DelayModel,
     plan: &StagePlan,
-    dirty: &[bool],
-) -> Option<Replayed> {
+    leaf_map: &[u32],
+    touched: usize,
+) -> Result<Replayed, RerouteReason> {
     let topo = &plan.topo;
     let n = edited.sink_count();
     let mut forest = MergeForest::for_instance_with_model(edited, model, plan.engine);
     let leaves = forest.leaves();
     let mut out_rec = MergeRecording::for_forest(&forest);
     if n == 1 {
-        return Some(Replayed {
+        return Ok(Replayed {
             root: leaves[0],
             forest,
             trace: MergeTrace::default(),
@@ -921,14 +999,13 @@ fn replay_merges(
     }
 
     let std_nodes = rec.forest.node_count();
-    // Bidirectional node translation: clean leaves map index-for-index;
-    // adopted merges extend the maps as they land.
+    // Bidirectional node translation: clean leaves map through the leaf
+    // map; adopted merges extend the maps as they land.
     let mut std_to_new: Vec<u32> = vec![NO_NODE; std_nodes];
-    let mut new_to_std: Vec<u32> = vec![NO_NODE; n];
-    for i in 0..n {
-        if !dirty[i] {
-            std_to_new[i] = i as u32;
-            new_to_std[i] = i as u32;
+    let mut new_to_std: Vec<u32> = leaf_map.to_vec();
+    for (i, &o) in leaf_map.iter().enumerate() {
+        if o != NO_NODE {
+            std_to_new[o as usize] = i as u32;
         }
     }
     // Which recorded merge consumed each standing node as a child.
@@ -954,8 +1031,7 @@ fn replay_merges(
     let (mut adopted, mut fresh) = (0usize, 0usize);
     let (mut replayed_rounds, mut planned_rounds) = (0usize, 0usize);
     let mut scan_work: u64 = 0;
-    let k_dirty = dirty.iter().filter(|&&d| d).count() as u64;
-    let scan_budget: u64 = (64 * n as u64 + 65_536) * k_dirty.max(1);
+    let scan_budget: u64 = (64 * n as u64 + 65_536) * touched.max(1) as u64;
 
     let mut round_idx = 0usize;
     while active.len() > 1 {
@@ -1017,7 +1093,7 @@ fn replay_merges(
                 }
                 scan_work += (refresh.len() + novel.len()) as u64 * n_present as u64;
                 if scan_work > scan_budget {
-                    return None;
+                    return Err(RerouteReason::ScanBudget);
                 }
                 {
                     let space = ForestSpace::new(&forest);
@@ -1078,7 +1154,7 @@ fn replay_merges(
                 // disjoint pairs up to the round limit.
                 let mut ranked: Vec<(u64, usize, usize)> = Vec::with_capacity(n_present);
                 for (ai, &x) in active.iter().enumerate() {
-                    let (v, _, score) = nn_of[ai]?;
+                    let (v, _, score) = nn_of[ai].ok_or(RerouteReason::EmptyRound)?;
                     let (lo, hi) = if x < v { (x, v) } else { (v, x) };
                     ranked.push((score, lo, hi));
                 }
@@ -1089,7 +1165,7 @@ fn replay_merges(
                     round_limit(topo.order, n_present),
                 );
                 if pairs.is_empty() {
-                    return None;
+                    return Err(RerouteReason::EmptyRound);
                 }
                 // The replay's own snapshot, in the new id space, so the
                 // next flush replays off this route.
@@ -1175,7 +1251,7 @@ fn replay_merges(
         round_idx += 1;
     }
 
-    Some(Replayed {
+    Ok(Replayed {
         root: NodeId::from_index(active[0]),
         forest,
         trace,

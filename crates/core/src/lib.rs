@@ -67,7 +67,7 @@ pub use drivers::{
     merge_until_one, merge_until_one_from_scratch, merge_until_one_traced, run_bottom_up,
     run_bottom_up_from_scratch, ForestSpace, MergeTrace,
 };
-pub use eco::{EcoEdit, EcoSession, EcoStats};
+pub use eco::{EcoEdit, EcoSession, EcoStats, RerouteReason};
 pub use error::RouteError;
 pub use fault::{Fault, FaultKind, FaultPlan};
 pub use fleet::{

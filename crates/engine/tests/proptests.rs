@@ -1,6 +1,5 @@
-//! Property-based tests for the merge engine: the candidate invariants of
-//! DESIGN.md §3 on randomized merge sequences, verified against the
-//! independent audit.
+//! Property-based tests for the merge engine: the candidate invariants on
+//! randomized merge sequences, verified against the independent audit.
 
 use astdme_delay::{DelayModel, RcParams};
 use astdme_engine::{audit, CandKind, EngineConfig, Groups, Instance, MergeForest, Sink};

@@ -5,8 +5,7 @@
 //! here. This crate synthesizes **seeded, deterministic equivalents**: the
 //! same sink counts, uniform placement over a 100 000 µm die (which puts
 //! zero-skew wirelengths and source-to-sink delays in the same regime as
-//! the originals), and era-realistic sink loads. See `DESIGN.md` §2 for the
-//! substitution argument.
+//! the originals), and era-realistic sink loads.
 //!
 //! Two group partitioners reproduce the paper's two experiments:
 //!

@@ -8,23 +8,22 @@
 //! `allocs_per_merge` section (same counting-allocator technique).
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use astdme::instances::{partition, synthetic_instance};
 use astdme::{run_bottom_up, DelayModel, EngineConfig, Instance, TopoConfig};
 
 /// Twin of the counting allocator in `crates/bench/src/bin/scaling.rs` —
 /// the library crates forbid `unsafe_code`, so each binary hosts its own
-/// copy; keep them counting the same events.
+/// copy; keep them counting the same events. Counts go to the allocating
+/// thread's [`astdme_core::allocmeter`] counter, so the tests in this
+/// binary, which the harness runs concurrently, never see each other's
+/// allocations.
 struct CountingAlloc;
-
-static ALLOC_COUNT: AtomicU64 = AtomicU64::new(0);
 
 // SAFETY: delegates directly to `System`; the counter has no effect on the
 // returned memory.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_COUNT.fetch_add(1, Ordering::Relaxed);
         astdme_core::allocmeter::on_alloc();
         unsafe { System.alloc(layout) }
     }
@@ -34,7 +33,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_COUNT.fetch_add(1, Ordering::Relaxed);
         astdme_core::allocmeter::on_alloc();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -88,9 +86,9 @@ fn merge_loop_allocations_stay_in_budget() {
     let model = DelayModel::elmore(*inst.rc());
     let engine = EngineConfig::fast();
     let count = |topo: &TopoConfig| {
-        let before = ALLOC_COUNT.load(Ordering::Relaxed);
+        let before = astdme_core::allocmeter::current();
         let (_forest, _root) = run_bottom_up(&inst, model, engine, topo);
-        ALLOC_COUNT.load(Ordering::Relaxed) - before
+        astdme_core::allocmeter::current() - before
     };
     for (name, topo) in [
         ("greedy", TopoConfig::greedy()),
@@ -98,11 +96,10 @@ fn merge_loop_allocations_stay_in_budget() {
     ] {
         let first = count(&topo);
         let second = count(&topo);
-        // The routing itself is deterministic, but the counter is
-        // process-global and the test harness keeps service threads (its
-        // watchdog allocates a handful of times), so two runs may differ
-        // by a few strays — never by a reintroduced per-pair allocation,
-        // which costs thousands here.
+        // The routing itself is deterministic and the counter is this
+        // thread's own, so two runs may differ only by one-time lazy
+        // initialization on the first — never by a reintroduced per-pair
+        // allocation, which costs thousands here.
         assert!(
             first.abs_diff(second) <= 32,
             "{name}: allocation counts diverged beyond harness noise \

@@ -6,8 +6,10 @@
 //! route of the edited instance** under the session's plan — same tree,
 //! same audit report — at every thread count, with and without an
 //! attached subtree cache, across consecutive flushes (replay-of-replay),
-//! for structural edits (insert/delete/RC retune, which fall back to a
-//! full reroute), and for non-replayable plans. Net no-op batches
+//! for inserts and deletes (which replay through the sink-identity map
+//! like moves and retunes), and for the full-reroute fallbacks (RC
+//! retune, cached-frame anchor drift, non-replayable plans), each of
+//! which names its [`RerouteReason`]. Net no-op batches
 //! (move-then-move-back, insert-then-delete) return the standing tree
 //! without routing. Runs under both feature sets in CI (default and
 //! `parallel`).
@@ -17,8 +19,8 @@ use std::sync::{Mutex, MutexGuard};
 
 use astdme::instances::{partition, synthetic_instance};
 use astdme::{
-    run_with_cache, AstDme, ClockRouter, EcoEdit, EcoSession, GroupId, Groups, Instance, Point,
-    RouteError, Sink, StitchPerGroup, SubtreeCache, TopoConfig,
+    run_with_cache, AstDme, ClockRouter, EcoEdit, EcoSession, EcoStats, GroupId, Groups, Instance,
+    Point, RcParams, RerouteReason, RouteError, Sink, StitchPerGroup, SubtreeCache, TopoConfig,
 };
 use proptest::prelude::*;
 
@@ -71,6 +73,19 @@ fn apply_expected(inst: &Instance, edits: &[EcoEdit]) -> Instance {
         .with_bounds(inst.groups().bounds().to_vec())
         .expect("bounds carry over");
     Instance::new(sinks, groups, rc, inst.source()).expect("valid edited instance")
+}
+
+/// The last flush's statistics, checked for the one invariant every
+/// flush keeps: it fell back to a full reroute exactly when it names a
+/// reason.
+fn flush_stats(session: &EcoSession) -> EcoStats {
+    let fs = session.last_flush();
+    assert_eq!(
+        fs.full_reroute,
+        fs.reroute_reason.is_some(),
+        "full_reroute must agree with reroute_reason: {fs:?}"
+    );
+    fs
 }
 
 /// Three spread-out moves plus a load retune — small edit set on a
@@ -133,7 +148,7 @@ fn flush_matches_from_scratch_across_thread_counts() {
             out.report, want.report,
             "threads={threads}: reports diverged"
         );
-        let fs = session.last_flush();
+        let fs = flush_stats(&session);
         assert!(
             !fs.full_reroute,
             "threads={threads}: must replay, not reroute"
@@ -156,7 +171,7 @@ fn flush_matches_from_scratch_across_thread_counts() {
         let out = session.flush().expect("flushes again");
         assert_eq!(out.tree, want_twice.tree, "threads={threads}: second flush");
         assert_eq!(out.report, want_twice.report, "threads={threads}");
-        assert!(!session.last_flush().full_reroute, "threads={threads}");
+        assert!(!flush_stats(&session).full_reroute, "threads={threads}");
     }
 }
 
@@ -188,7 +203,7 @@ fn cached_flush_matches_cached_pipeline_and_hits_on_return() {
     assert_eq!(out.tree, want.tree, "cached flush diverged from pipeline");
     assert_eq!(out.report, want.report);
     assert_eq!(out.stats.cache_misses, 1, "replayed flush missed the cache");
-    let fs = session.last_flush();
+    let fs = flush_stats(&session);
     assert!(!fs.full_reroute && fs.adopted_merges > 0, "must replay");
 
     // Moving back lands on the session-creation placement, which the
@@ -201,7 +216,7 @@ fn cached_flush_matches_cached_pipeline_and_hits_on_return() {
     assert!(out.stats.cache_hit, "return to a routed placement must hit");
     assert_eq!(out.tree, base.tree, "hit diverged from the original route");
     assert_eq!(out.report, base.report);
-    assert!(session.last_flush().cache_hit);
+    assert!(flush_stats(&session).cache_hit);
 
     // A hit drops the stale recording; the next novel edit takes the
     // full-reroute path and must still match the pipeline.
@@ -215,18 +230,79 @@ fn cached_flush_matches_cached_pipeline_and_hits_on_return() {
     let out = session.flush().expect("flushes after hit");
     assert_eq!(out.tree, want.tree, "post-hit flush diverged");
     assert_eq!(out.report, want.report);
-    assert!(session.last_flush().full_reroute, "no recording to replay");
+    let fs = flush_stats(&session);
+    assert_eq!(
+        fs.reroute_reason,
+        Some(RerouteReason::NoRecording),
+        "no recording to replay"
+    );
+
+    // An insert inside the bounding box keeps the normalization anchor,
+    // so it replays off the recording the reroute above left behind.
+    let bb = inst.bounding_box();
+    let inserted = EcoEdit::Insert {
+        sink: Sink::new(
+            Point::new(0.5 * (bb.x0() + bb.x1()), 0.5 * (bb.y0() + bb.y1())),
+            1.5e-14,
+        ),
+        group: GroupId(2),
+    };
+    let edited = apply_expected(&edited, &[inserted]);
+    let want = run_with_cache(&edited, &plan, &SubtreeCache::new(4)).expect("routes");
+    session.queue(inserted);
+    let out = session.flush().expect("flushes an insert");
+    assert_eq!(out.tree, want.tree, "cached insert diverged");
+    assert_eq!(out.report, want.report);
+    let fs = flush_stats(&session);
+    assert!(
+        !fs.full_reroute && fs.adopted_merges > 0,
+        "must replay: {fs:?}"
+    );
 }
 
-/// Structural edits (insert, delete, RC retune) and non-replayable plans
-/// fall back to a full reroute — and still match from-scratch exactly.
+/// A cached session routes in a frame anchored at the bounding-box
+/// minimum corner. Deleting the sink that sets that corner moves the
+/// anchor, so every clean sink lands on new normalized coordinates: the
+/// flush falls back with [`RerouteReason::AnchorDrift`] and still matches
+/// the cached pipeline bit for bit.
+#[test]
+fn cached_anchor_drift_falls_back_and_matches_cached_pipeline() {
+    let _lock = override_lock();
+    let _guard = astdme_par::override_guard(NonZeroUsize::new(1));
+    let inst = instance(80, 3, 29);
+    let plan = AstDme::new().plan();
+    let mut session = EcoSession::with_cache(&inst, plan, SubtreeCache::new(64)).expect("routes");
+    let corner = (0..inst.sink_count())
+        .min_by(|&a, &b| inst.sinks()[a].pos.x.total_cmp(&inst.sinks()[b].pos.x))
+        .expect("non-empty");
+    let delete = EcoEdit::Delete { sink: corner };
+    let edited = apply_expected(&inst, &[delete]);
+    assert_ne!(
+        edited.bounding_box().x0().to_bits(),
+        inst.bounding_box().x0().to_bits(),
+        "the deleted sink must set the minimum corner"
+    );
+    let want = run_with_cache(&edited, &plan, &SubtreeCache::new(4)).expect("routes");
+    session.queue(delete);
+    let out = session.flush().expect("flushes");
+    assert_eq!(out.tree, want.tree, "anchor-drift flush diverged");
+    assert_eq!(out.report, want.report);
+    let fs = flush_stats(&session);
+    assert_eq!(fs.reroute_reason, Some(RerouteReason::AnchorDrift));
+    assert_eq!(fs.dirty_sinks, 1, "one deleted sink");
+}
+
+/// Inserts and deletes replay through the sink-identity map, adopting
+/// most merges; an RC retune and non-replayable plans fall back to a
+/// full reroute. Every one matches from-scratch exactly.
 #[test]
 fn structural_edits_and_fallback_plans_match_from_scratch() {
     let _lock = override_lock();
     let _guard = astdme_par::override_guard(NonZeroUsize::new(1));
     let inst = instance(60, 3, 23);
 
-    // Insert + delete: net sink count unchanged but contents shifted.
+    // Insert + delete: net sink count unchanged but indices shifted; the
+    // clean sinks still map onto their standing leaves.
     let router = AstDme::new();
     let structural = vec![
         EcoEdit::Insert {
@@ -242,9 +318,33 @@ fn structural_edits_and_fallback_plans_match_from_scratch() {
         session.queue(*edit);
     }
     let out = session.flush().expect("flushes");
-    assert_eq!(out.tree, want.tree, "structural flush diverged");
+    assert_eq!(out.tree, want.tree, "insert/delete flush diverged");
     assert_eq!(out.report, want.report);
-    assert!(session.last_flush().full_reroute);
+    let fs = flush_stats(&session);
+    assert!(!fs.full_reroute, "insert/delete must replay: {fs:?}");
+    assert!(
+        fs.adopted_merges > fs.fresh_merges,
+        "an insert and a delete must adopt most merges (adopted {}, fresh {})",
+        fs.adopted_merges,
+        fs.fresh_merges
+    );
+    assert_eq!(fs.dirty_sinks, 2, "one inserted and one deleted sink");
+
+    // An RC retune changes every merge's delays: a full reroute.
+    let retune = EcoEdit::RetuneRc(RcParams::new(
+        inst.rc().r_per_um() * 1.25,
+        inst.rc().c_per_um(),
+    ));
+    let edited = apply_expected(&edited, &[retune]);
+    let want = router.route_traced(&edited).expect("routes");
+    session.queue(retune);
+    let out = session.flush().expect("flushes");
+    assert_eq!(out.tree, want.tree, "RC retune flush diverged");
+    assert_eq!(out.report, want.report);
+    assert_eq!(
+        flush_stats(&session).reroute_reason,
+        Some(RerouteReason::RcChanged)
+    );
 
     // Greedy merge order and the stitching script are not recorded;
     // every flush is a full reroute and must still be exact.
@@ -264,7 +364,10 @@ fn structural_edits_and_fallback_plans_match_from_scratch() {
         let out = session.flush().expect("flushes");
         assert_eq!(out.tree, want.tree, "fallback plan diverged");
         assert_eq!(out.report, want.report);
-        assert!(session.last_flush().full_reroute);
+        assert_eq!(
+            flush_stats(&session).reroute_reason,
+            Some(RerouteReason::NotRecordable)
+        );
     }
 }
 
@@ -280,8 +383,8 @@ fn noop_batches_return_standing_tree_and_bad_edits_are_rejected() {
     let before = session.outcome().clone();
 
     session.flush().expect("empty flush");
-    assert!(session.last_flush().noop, "empty batch is a no-op");
-    assert_eq!(session.last_flush().edits, 0);
+    assert!(flush_stats(&session).noop, "empty batch is a no-op");
+    assert_eq!(flush_stats(&session).edits, 0);
     assert_eq!(session.outcome().tree, before.tree);
 
     let home = inst.sinks()[4].pos;
@@ -291,7 +394,7 @@ fn noop_batches_return_standing_tree_and_bad_edits_are_rejected() {
     });
     session.queue(EcoEdit::Move { sink: 4, to: home });
     session.flush().expect("cancelling moves");
-    assert!(session.last_flush().noop, "move-then-back cancels out");
+    assert!(flush_stats(&session).noop, "move-then-back cancels out");
     assert_eq!(session.outcome().tree, before.tree);
 
     session.queue(EcoEdit::Insert {
@@ -300,7 +403,7 @@ fn noop_batches_return_standing_tree_and_bad_edits_are_rejected() {
     });
     session.queue(EcoEdit::Delete { sink: 50 });
     session.flush().expect("cancelling insert/delete");
-    assert!(session.last_flush().noop, "insert-then-delete cancels out");
+    assert!(flush_stats(&session).noop, "insert-then-delete cancels out");
     assert_eq!(session.outcome().tree, before.tree);
 
     session.queue(EcoEdit::Move {
@@ -313,21 +416,52 @@ fn noop_batches_return_standing_tree_and_bad_edits_are_rejected() {
     assert_eq!(session.outcome().tree, before.tree, "standing route intact");
 }
 
-fn arb_edit(n: usize) -> impl Strategy<Value = EcoEdit> {
+/// A random edit of any replayable kind. Sink indices are drawn from
+/// `0..n` and folded onto the instance size at the point the edit
+/// applies by [`fold_indices`].
+fn arb_edit(n: usize, groups: usize) -> impl Strategy<Value = EcoEdit> {
     prop_oneof![
         (0..n, -900.0f64..900.0, -900.0f64..900.0).prop_map(|(s, dx, dy)| EcoEdit::Move {
             sink: s,
             to: Point::new(4000.0 + dx, 4000.0 + dy),
         }),
         (0..n, 5e-15f64..5e-14).prop_map(|(s, cap)| EcoEdit::Retune { sink: s, cap }),
+        (
+            -900.0f64..900.0,
+            -900.0f64..900.0,
+            5e-15f64..5e-14,
+            0..groups
+        )
+            .prop_map(|(dx, dy, cap, g)| EcoEdit::Insert {
+                sink: Sink::new(Point::new(4000.0 + dx, 4000.0 + dy), cap),
+                group: GroupId(g as u32),
+            }),
+        (0..n).prop_map(|s| EcoEdit::Delete { sink: s }),
     ]
+}
+
+/// Folds each edit's sink index onto the instance size it sees (inserts
+/// grow it, deletes shrink it), so every generated batch is valid.
+fn fold_indices(mut n: usize, edits: &mut [EcoEdit]) {
+    for edit in edits {
+        match edit {
+            EcoEdit::Move { sink, .. } | EcoEdit::Retune { sink, .. } => *sink %= n,
+            EcoEdit::Delete { sink } => {
+                *sink %= n;
+                n -= 1;
+            }
+            EcoEdit::Insert { .. } => n += 1,
+            EcoEdit::RetuneRc(_) => {}
+        }
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Any interleaving of queued edits — including several edits to the
-    /// same sink, where only the last one survives — flushes to exactly
+    /// Any interleaving of queued moves, retunes, inserts, and deletes —
+    /// including several edits to the same sink, where only the last one
+    /// survives — flushes to exactly
     /// the net edit set's from-scratch route; and splitting the same
     /// batch across two flushes (replaying a replay) converges to the
     /// same tree.
@@ -343,8 +477,9 @@ proptest! {
         // The vendored proptest shim has no `collection::vec`; draw the
         // batch from a derived RNG instead.
         let mut erng = proptest::test_runner::TestRng::from_seed(edit_seed);
-        let strat = arb_edit(48);
-        let edits: Vec<EcoEdit> = (0..count).map(|_| strat.generate(&mut erng)).collect();
+        let strat = arb_edit(48, 3);
+        let mut edits: Vec<EcoEdit> = (0..count).map(|_| strat.generate(&mut erng)).collect();
+        fold_indices(48, &mut edits);
         let inst = instance(48, 3, seed);
         let router = AstDme::new();
         let edited = apply_expected(&inst, &edits);
@@ -358,6 +493,7 @@ proptest! {
         let out = session.flush().expect("flushes");
         prop_assert_eq!(&out.tree, &want.tree, "single flush diverged");
         prop_assert_eq!(&out.report, &want.report);
+        flush_stats(&session);
 
         // Same edits split across two flushes.
         let cut = split.min(edits.len());
@@ -372,5 +508,6 @@ proptest! {
         let out = session.flush().expect("second half");
         prop_assert_eq!(&out.tree, &want.tree, "split flush diverged");
         prop_assert_eq!(&out.report, &want.report);
+        flush_stats(&session);
     }
 }
