@@ -19,6 +19,11 @@
 //!   asserted — the run aborts on a mismatch), and that the batch as a
 //!   whole never failed (`batch_failed": false` — the CI gate).
 //!
+//! The document opens with a `host` object (logical cores,
+//! `ASTDME_THREADS`, effective threads, git revision). After writing it,
+//! the binary re-parses the file and exits 1 if a field the CI gate
+//! relies on is missing or one of the three guarantees reads wrong.
+//!
 //! Usage: `robustness [--quick] [--out PATH] [--variants N]`
 //!
 //! * `--quick`    — 64 variants, one trajectory point (the CI smoke run);
@@ -27,7 +32,7 @@
 
 use std::time::Instant;
 
-use astdme_bench::{json, PAPER_BOUND};
+use astdme_bench::{check_written, host_json, json, PAPER_BOUND};
 use astdme_core::robustness::{sweep, PerturbationSpec, RobustnessReport, SweepConfig};
 use astdme_core::{
     AstDme, BatchPlan, BatchPolicy, EngineConfig, Fault, FaultKind, FaultPlan, Instance, StageId,
@@ -272,7 +277,8 @@ fn to_json(sweeps: &[SweepMeasurement], faults: &FaultMeasurement) -> String {
         2,
     );
     format!(
-        "{{\n  \"bench\": \"robustness\",\n  \"n\": {N},\n  \"groups\": {GROUPS},\n  \"seed\": {SEED},\n  \"router\": \"AST-DME\",\n  \"engine\": \"fast\",\n  \"sweeps\": {},\n  \"fault_injection\": {}\n}}\n",
+        "{{\n  \"bench\": \"robustness\",\n  \"host\": {},\n  \"n\": {N},\n  \"groups\": {GROUPS},\n  \"seed\": {SEED},\n  \"router\": \"AST-DME\",\n  \"engine\": \"fast\",\n  \"sweeps\": {},\n  \"fault_injection\": {}\n}}\n",
+        host_json(2).trim_start(),
         json::array(&sweep_items, 2),
         fault_obj
     )
@@ -311,6 +317,17 @@ fn main() {
     let doc = to_json(&sweeps, &faults);
     std::fs::write(&out_path, &doc).expect("write BENCH_robustness.json");
     eprintln!("wrote {out_path}");
+    let sections: &[(&str, &[&str])] = &[
+        ("host", &["logical_cores", "effective_threads", "git_rev"]),
+        ("sweeps", &["p99_skew", "variants_per_sec"]),
+    ];
+    let guarantees = [
+        ("injected_fault_survival", true),
+        ("survivors_bit_identical", true),
+        ("batch_failed", false),
+    ];
+    check_written(&out_path, sections, &guarantees);
+    eprintln!("{out_path}: output check ok");
 
     println!("| variants | seconds | variants/s | p50 skew | p99 skew | p99 wirelength |");
     println!("|----------|---------|------------|----------|----------|----------------|");

@@ -236,6 +236,130 @@ pub fn flags() -> (bool, bool) {
     )
 }
 
+/// The `host` object a `BENCH_*.json` records, so its numbers can be tied
+/// to the machine and build that produced them: logical cores, the
+/// `ASTDME_THREADS` setting (`null` when unset), the thread count the
+/// pool resolves to, and the git revision, suffixed `-dirty` when the
+/// working tree has uncommitted changes (`"unknown"` outside a checkout
+/// or without `git` on the path).
+pub fn host_json(indent: usize) -> String {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let astdme_threads = std::env::var("ASTDME_THREADS").ok();
+    let rev = std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty", "--abbrev=12"])
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map(|s| s.trim().to_string())
+        .filter(|s| !s.is_empty())
+        .unwrap_or_else(|| "unknown".to_string());
+    json::object(
+        &[
+            json::field("logical_cores", format!("{cores}")),
+            json::field(
+                "astdme_threads",
+                astdme_threads.as_deref().map_or("null".into(), json::quote),
+            ),
+            json::field(
+                "effective_threads",
+                format!("{}", astdme_par::effective_threads()),
+            ),
+            json::field("git_rev", json::quote(&rev)),
+        ],
+        indent,
+    )
+}
+
+/// Re-parses a bench's JSON output and checks the contract its CI gate
+/// relies on, returning the parsed document for further checks.
+///
+/// * `sections` — `(section, fields)`: the top-level `section` must be a
+///   non-empty array whose every entry carries each of `fields`, or an
+///   object carrying them.
+/// * `guarantees` — `(key, expected)`: `key` must occur somewhere in the
+///   document, and every occurrence must be the boolean `expected`.
+///
+/// # Errors
+///
+/// One message per violated requirement (or the parse error).
+pub fn check_output(
+    doc: &str,
+    sections: &[(&str, &[&str])],
+    guarantees: &[(&str, bool)],
+) -> Result<json::Value, Vec<String>> {
+    let root = json::parse(doc).map_err(|e| vec![format!("output does not parse: {e}")])?;
+    let mut errors = Vec::new();
+    for &(section, fields) in sections {
+        let entries: Vec<&json::Value> = match root.get(section) {
+            Some(json::Value::Arr(items)) => items.iter().collect(),
+            Some(obj @ json::Value::Obj(_)) => vec![obj],
+            _ => Vec::new(),
+        };
+        if entries.is_empty() {
+            errors.push(format!("section `{section}` is missing or empty"));
+        }
+        for (i, entry) in entries.iter().enumerate() {
+            for &field in fields {
+                if entry.get(field).is_none() {
+                    errors.push(format!("`{section}`[{i}] lacks `{field}`"));
+                }
+            }
+        }
+    }
+    for &(key, expected) in guarantees {
+        let mut seen = Vec::new();
+        collect_key(&root, key, &mut seen);
+        if seen.is_empty() {
+            errors.push(format!("guarantee `{key}` is missing"));
+        }
+        if seen.iter().any(|v| v.as_bool() != Some(expected)) {
+            errors.push(format!(
+                "guarantee `{key}` does not read {expected} everywhere"
+            ));
+        }
+    }
+    if errors.is_empty() {
+        Ok(root)
+    } else {
+        Err(errors)
+    }
+}
+
+/// Every value stored under `key`, at any depth.
+fn collect_key<'a>(value: &'a json::Value, key: &str, out: &mut Vec<&'a json::Value>) {
+    match value {
+        json::Value::Obj(fields) => {
+            for (k, v) in fields {
+                if k == key {
+                    out.push(v);
+                }
+                collect_key(v, key, out);
+            }
+        }
+        json::Value::Arr(items) => items.iter().for_each(|v| collect_key(v, key, out)),
+        _ => {}
+    }
+}
+
+/// Reads back the output a bench wrote to `path` and checks it with
+/// [`check_output`], returning the parsed document for further checks.
+/// On a violation it prints each message and exits the process with
+/// status 1.
+pub fn check_written(
+    path: &str,
+    sections: &[(&str, &[&str])],
+    guarantees: &[(&str, bool)],
+) -> json::Value {
+    let doc = std::fs::read_to_string(path).expect("read back the written output");
+    check_output(&doc, sections, guarantees).unwrap_or_else(|errors| {
+        for e in &errors {
+            eprintln!("{path}: {e}");
+        }
+        std::process::exit(1)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -269,6 +393,27 @@ mod tests {
         assert!(md.contains("| r1 (267 sinks) | 4 | AST-DME | 1000000 | 5.00% | 42.0 | 1.50 |"));
         let js = to_json(&rows);
         assert!(js.contains("\"reduction\": 0.05"));
+    }
+
+    #[test]
+    fn output_check_reports_missing_fields_and_broken_guarantees() {
+        let doc = format!(
+            "{{\"host\": {}, \"runs\": [{{\"a\": 1, \"ok\": true}}, {{\"a\": 2, \"ok\": false}}]}}",
+            host_json(0)
+        );
+        let root = check_output(&doc, &[("runs", &["a"]), ("host", &["git_rev"])], &[])
+            .expect("fields present");
+        assert!(root
+            .get("host")
+            .and_then(|h| h.get("logical_cores"))
+            .is_some());
+        let errors = check_output(
+            &doc,
+            &[("runs", &["a", "b"]), ("absent", &[])],
+            &[("ok", true), ("gone", true)],
+        )
+        .expect_err("five violations");
+        assert_eq!(errors.len(), 5, "{errors:?}");
     }
 
     #[test]

@@ -141,9 +141,8 @@ struct RouteCtx {
 
 thread_local! {
     /// The active route context of this thread. Each instance routes
-    /// entirely on one thread (the fleet fans out whole instances and
-    /// nested engine parallelism is forced serial on workers), so one
-    /// slot suffices.
+    /// entirely on one thread (the fleet fans out whole instances and the
+    /// merge engine is sequential), so one slot suffices.
     static CTX: RefCell<Option<RouteCtx>> = const { RefCell::new(None) };
 }
 

@@ -32,8 +32,9 @@
 //! * **Work claiming.** Batch and stream workers share one atomic cursor
 //!   over the scheduled order: a worker that finishes early claims the
 //!   next pending instance instead of idling behind a static chunk
-//!   boundary. Workers come from [`astdme_par`]'s persistent pool —
-//!   parked threads woken per call, not spawned per call.
+//!   boundary. The barrier runs on [`astdme_par::claim_each`]; stream
+//!   workers are detached jobs on the same persistent pool — parked
+//!   threads woken per call, not spawned per call.
 //!
 //! Both mechanisms change scheduling only: each instance's outcome is a
 //! pure function of the instance and router, so the batch vector is
@@ -41,10 +42,10 @@
 //! stream yields the same `(index, outcome)` set in a different arrival
 //! order.
 //!
-//! Instance-level fan-out composes safely with the engine's own `parallel`
-//! feature: workers are marked, and any nested fan-out (the engine's
-//! candidate-pair expansion) takes its serial fallback on a worker thread
-//! — one layer of threads, never a multiplication.
+//! Instances are the only thread layer: the merge engine is sequential,
+//! and pool workers are marked so that a nested fan-out (a batch routed
+//! from inside a worker) runs in order on that worker instead of
+//! multiplying threads.
 //!
 //! # Failure isolation
 //!
@@ -64,11 +65,10 @@
 //! unblocks any worker waiting to deliver — no joins, no deadlocks, no
 //! leaked work beyond the instances already being routed.
 
-use crate::stopwatch::Stopwatch;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use astdme_cache::{BoundedLru, SubtreeCache};
 use astdme_engine::Instance;
@@ -78,10 +78,6 @@ use crate::pipeline::{RouteOutcome, RouteStats};
 use crate::{ClockRouter, RouteError};
 
 pub use astdme_par::StealStats;
-
-/// Minimum batch size before instances fan out across threads: a single
-/// instance gains nothing from the fork-join overhead.
-const MIN_BATCH_FANOUT: usize = 2;
 
 /// Estimates per-instance routing cost for [`BatchPlan`] scheduling.
 ///
@@ -377,12 +373,11 @@ impl BatchPlan {
     /// not touch return outcomes bit-identical to a policy-free run at
     /// every thread count.
     ///
-    /// This is the collect-and-reorder form of the streaming execution:
-    /// pool workers claim schedule slots from a shared cursor and deliver
-    /// `(input index, outcome)` pairs in completion order; the barrier
-    /// drains them into input-order slots after the last worker finishes.
-    /// Each outcome is a pure function of its instance and the policy, so
-    /// the reorder step preserves bit-identity with the sequential loop.
+    /// The caller and pool helpers claim schedule slots through
+    /// [`astdme_par::claim_each`], and the caller scatters each outcome
+    /// into its input slot as it arrives. Each outcome is a pure function
+    /// of its instance and the policy, so the scatter preserves
+    /// bit-identity with the sequential loop.
     pub fn route_with_policy<R>(
         &self,
         instances: &[Instance],
@@ -400,79 +395,13 @@ impl BatchPlan {
         let len = instances.len();
         let mut out: Vec<Option<Result<RouteOutcome, RouteError>>> = Vec::with_capacity(len);
         out.resize_with(len, || None);
-        let threads = astdme_par::fanout_threads(len, MIN_BATCH_FANOUT);
-        let stats = if threads < 2 {
-            // Serial: route in schedule order, scatter to input slots —
-            // byte-for-byte the one-thread schedule the determinism tests
-            // compare against.
-            let t0 = Stopwatch::start();
-            for &idx in &self.order {
-                out[idx] = Some(route_caught(
-                    router,
-                    &instances[idx],
-                    idx + policy.index_offset,
-                    policy,
-                ));
-            }
-            StealStats {
-                worker_busy_seconds: vec![t0.seconds()],
-                worker_items: vec![len],
-                worker_queue_wait_seconds: vec![0.0],
-                worker_idle_seconds: vec![0.0],
-            }
-        } else {
-            // Streamed barrier: the caller and `threads - 1` pool helpers
-            // claim schedule slots from a shared cursor and send
-            // completion-order results over an unbounded channel (every
-            // send is buffered, so no worker ever blocks on delivery and
-            // the barrier drains after the join).
-            let (tx, rx) = std::sync::mpsc::channel();
-            let cursor = AtomicUsize::new(0);
-            let submitted = Stopwatch::start();
-            let clocks: Mutex<Vec<(f64, usize, f64, f64)>> = Mutex::new(Vec::new());
-            let work = |_slot: usize| {
-                let tx = tx.clone();
-                let queue_wait = submitted.seconds();
-                let t0 = Stopwatch::start();
-                let mut items = 0usize;
-                let mut item_seconds = 0.0f64;
-                loop {
-                    let slot = cursor.fetch_add(1, Ordering::Relaxed);
-                    if slot >= len {
-                        break;
-                    }
-                    let idx = self.order[slot];
-                    let tb = Stopwatch::start();
-                    let result =
-                        route_caught(router, &instances[idx], idx + policy.index_offset, policy);
-                    item_seconds += tb.seconds();
-                    items += 1;
-                    if tx.send((idx, result)).is_err() {
-                        break;
-                    }
-                }
-                let busy = t0.seconds();
-                clocks.lock().unwrap_or_else(|e| e.into_inner()).push((
-                    busy,
-                    items,
-                    queue_wait,
-                    (busy - item_seconds).max(0.0),
-                ));
-            };
-            astdme_par::scope_with(threads - 1, &work, |_running| work(0));
-            for (idx, result) in rx.try_iter() {
-                out[idx] = Some(result);
-            }
-            let mut stats = StealStats::default();
-            let clocks = clocks.into_inner().unwrap_or_else(|e| e.into_inner());
-            for (busy, items, queue_wait, idle) in clocks {
-                stats.worker_busy_seconds.push(busy);
-                stats.worker_items.push(items);
-                stats.worker_queue_wait_seconds.push(queue_wait);
-                stats.worker_idle_seconds.push(idle);
-            }
-            stats
+        let route = |slot: usize| {
+            let idx = self.order[slot];
+            route_caught(router, &instances[idx], idx + policy.index_offset, policy)
         };
+        let stats = astdme_par::claim_each(len, len, &route, |slot, result| {
+            out[self.order[slot]] = Some(result);
+        });
         let out = out
             .into_iter()
             .map(|r| r.expect("schedule order is a permutation of the batch"))
@@ -580,7 +509,9 @@ where
 pub const DEFAULT_STREAM_IN_FLIGHT: usize = 16;
 
 /// How a [`route_stream`] call runs: the per-instance hardening policy
-/// plus the stream's in-flight bound and worker count.
+/// plus the stream's in-flight bound. The stream runs
+/// [`astdme_par::effective_threads`] workers, capped at the instance
+/// count.
 #[derive(Debug, Clone)]
 pub struct StreamPolicy {
     /// Per-instance hardening applied to every routed instance: deadline,
@@ -592,10 +523,6 @@ pub struct StreamPolicy {
     /// buffer is full block until the consumer catches up, so peak live
     /// trees stay at `in_flight` plus one per worker.
     pub in_flight: usize,
-    /// Number of stream workers, capped at the instance count; `None`
-    /// (the default) uses [`astdme_par::effective_threads`] — the thread
-    /// override when set, else `ASTDME_THREADS`/`available_parallelism`.
-    pub workers: Option<usize>,
 }
 
 impl Default for StreamPolicy {
@@ -603,14 +530,13 @@ impl Default for StreamPolicy {
         Self {
             batch: BatchPolicy::default(),
             in_flight: DEFAULT_STREAM_IN_FLIGHT,
-            workers: None,
         }
     }
 }
 
 impl StreamPolicy {
     /// The default policy: no hardening, [`DEFAULT_STREAM_IN_FLIGHT`]
-    /// outcomes in flight, automatic worker count.
+    /// outcomes in flight.
     pub fn new() -> Self {
         Self::default()
     }
@@ -624,13 +550,6 @@ impl StreamPolicy {
     /// Sets the in-flight bound (clamped to at least 1); returns `self`.
     pub fn with_in_flight(mut self, in_flight: usize) -> Self {
         self.in_flight = in_flight.max(1);
-        self
-    }
-
-    /// Pins the worker count (capped at the instance count when the
-    /// stream starts); returns `self`.
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = Some(workers.max(1));
         self
     }
 }
@@ -755,11 +674,7 @@ pub fn route_stream(
 ) -> RouteStream {
     let total = instances.len();
     let plan = BatchPlan::new(&instances);
-    let workers = policy
-        .workers
-        .unwrap_or_else(astdme_par::effective_threads)
-        .max(1)
-        .min(total);
+    let workers = astdme_par::effective_threads().min(total);
     let (tx, rx) = sync_channel(policy.in_flight.max(1));
     let shared = Arc::new(StreamShared {
         instances,

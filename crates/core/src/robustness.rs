@@ -38,8 +38,6 @@
 //! golden tests — see `tests/robustness.rs`.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::sync_channel;
 
 use astdme_engine::{Groups, Instance, Sink};
 use rand::Rng;
@@ -568,9 +566,10 @@ impl ReportAcc {
 /// `router` and distills the outcome distributions; see the [module
 /// docs](self) for the determinism and memory contract.
 ///
-/// The fan-out is **barrier-free**: pool workers claim variant indices
-/// from a shared cursor, derive + route + reduce each variant, and stream
-/// the scalars to the accumulating caller through a channel bounded at
+/// The fan-out is **barrier-free**: the caller and pool helpers claim
+/// variant indices through [`astdme_par::claim_each`], derive + route +
+/// reduce each variant, and helpers stream the scalars to the
+/// accumulating caller through a channel bounded at
 /// [`SweepConfig::chunk`] results — no worker ever idles at a chunk
 /// boundary waiting for the slowest variant. The caller re-buffers
 /// out-of-order arrivals and accumulates strictly in variant order, so
@@ -601,65 +600,19 @@ where
         cache: config.cache.clone(),
     };
     let mut acc = ReportAcc::default();
-    // Minimum fan-out of 2 variants, like the fleet's batch path: one
-    // variant gains nothing from waking a helper.
-    let threads = astdme_par::fanout_threads(config.variants, 2);
-    if threads < 2 {
-        // Serial: derive and accumulate in variant order directly — the
-        // reference schedule the parallel path must reproduce bit for bit.
-        for index in 0..config.variants {
-            acc.push(route_variant(nominal, spec, &policy, router, index));
+    // Consume in completion order, accumulate in index order: a small
+    // reorder buffer holds early arrivals until their predecessors land.
+    let mut pending: BTreeMap<usize, VariantItem> = BTreeMap::new();
+    let mut next_index = 0usize;
+    let route = |index: usize| route_variant(nominal, spec, &policy, router, index);
+    astdme_par::claim_each(config.variants, config.chunk, &route, |index, item| {
+        pending.insert(index, item);
+        while let Some(item) = pending.remove(&next_index) {
+            acc.push(item);
+            next_index += 1;
         }
-    } else {
-        let in_flight = config.chunk.max(1);
-        let (tx, rx) = sync_channel::<VariantItem>(in_flight);
-        let cursor = AtomicUsize::new(0);
-        let work = |_slot: usize| {
-            let tx = tx.clone();
-            loop {
-                let index = cursor.fetch_add(1, Ordering::Relaxed);
-                if index >= config.variants {
-                    break;
-                }
-                if tx
-                    .send(route_variant(nominal, spec, &policy, router, index))
-                    .is_err()
-                {
-                    break;
-                }
-            }
-        };
-        let acc = &mut acc;
-        astdme_par::scope_with(threads, &work, |running| {
-            if running == 0 {
-                // Saturated pool, no helpers granted: produce inline off
-                // the same cursor (nobody else is claiming).
-                loop {
-                    let index = cursor.fetch_add(1, Ordering::Relaxed);
-                    if index >= config.variants {
-                        break;
-                    }
-                    acc.push(route_variant(nominal, spec, &policy, router, index));
-                }
-                return;
-            }
-            // Consume in completion order, accumulate in index order: a
-            // small reorder buffer holds early arrivals until their
-            // predecessors land. Exactly `variants` items arrive in
-            // total (each index is claimed and delivered once), so the
-            // take() below never blocks on an exhausted stream.
-            let mut pending: BTreeMap<usize, VariantItem> = BTreeMap::new();
-            let mut next_index = 0usize;
-            for item in rx.iter().take(config.variants) {
-                pending.insert(item.index, item);
-                while let Some(item) = pending.remove(&next_index) {
-                    acc.push(item);
-                    next_index += 1;
-                }
-            }
-            debug_assert!(pending.is_empty(), "every variant accumulated");
-        });
-    }
+    });
+    debug_assert!(pending.is_empty(), "every variant accumulated");
     Ok(acc.finish(config.variants))
 }
 

@@ -11,16 +11,15 @@
 //!    model, config and class state, plus an owned [`Overlay`] where the
 //!    offset-adjustment machinery parks any candidates it derives on
 //!    *existing* nodes. Expansions never see each other's overlays (a
-//!    pair's provenance chain predates the merge), so the phase fans out
-//!    over [`astdme_par`] under the `parallel` feature with bit-identical
-//!    results.
+//!    pair's provenance chain predates the merge), so each one is a pure
+//!    function of pre-merge state.
 //! 2. **Commit** — back under `&mut self`, the forest replays each
 //!    expansion's overlay in pair order, remapping overlay-local candidate
 //!    indices to their final positions. This reproduces the exact indices
-//!    the old single-borrow serial code produced, which is what keeps
-//!    serial and parallel builds routing identical trees.
+//!    the old single-borrow code produced, and it is the one place the
+//!    forest mutates — so the ECO merge log records from here.
 //!
-//! Per-worker [`Scratch`] buffers (constraint assembly) are threaded as
+//! [`Scratch`] buffers (constraint assembly) are threaded as
 //! explicit `&mut` parameters rather than stored in the context, so a
 //! context can hand out `&Candidate` borrows while a callee fills buffers.
 
@@ -34,7 +33,7 @@ use super::NodeId;
 /// Reusable buffers for the hot constraint-assembly path
 /// ([`MergeCtx::pair_cost_estimate`]): per-call `Vec` allocations in the
 /// inner loop of `merge` showed up as a constant-factor tax, so the forest
-/// carries one scratch set and the parallel paths create one per worker.
+/// carries one scratch set and reuses it across merges.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Scratch {
     pub(crate) ea: Vec<(u32, f64, f64, f64)>,

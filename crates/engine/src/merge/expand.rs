@@ -1,12 +1,11 @@
-//! Candidate-pair expansion fan-out and the deterministic commit.
+//! Candidate-pair expansion and the deterministic commit.
 //!
 //! Split from `mod.rs` (which keeps the `merge` orchestration): this file
-//! owns the expand -> commit half of a merge — fanning ranked pairs out
-//! against their own [`MergeCtx`](super::context::MergeCtx) snapshots
-//! (in parallel under the `parallel` feature), replaying each pair's
-//! overlay in ranked order so the committed candidate contents *and
-//! indices* reproduce the serial build bit-for-bit, and pruning the
-//! merged node's candidate list. See the module docs in `mod.rs` for the
+//! owns the expand -> commit half of a merge — expanding ranked pairs
+//! against their own [`MergeCtx`](super::context::MergeCtx) snapshots,
+//! replaying each pair's overlay in ranked order so the committed
+//! candidate contents *and indices* are fixed by the ranking alone, and
+//! pruning the merged node's candidate list. See the module docs in `mod.rs` for the
 //! borrow discipline that makes expansions independent.
 
 use crate::{CandKind, Candidate};
@@ -15,53 +14,10 @@ use super::context::{Expansion, Scratch};
 use super::{MergeForest, NodeId};
 
 impl MergeForest {
-    /// Expands every ranked pair against its own [`MergeCtx`]. With the
-    /// `parallel` feature this is the candidate-pair *expansion* fan-out:
-    /// each pair's case analysis runs on its own thread (expansions are
-    /// independent by the borrow discipline), and the deterministic commit
-    /// keeps results bit-identical to the serial build.
-    #[cfg(feature = "parallel")]
+    /// Expands every ranked pair against its own [`MergeCtx`], reusing the
+    /// forest's scratch across all pairs so the hot path allocates no
+    /// per-pair buffers.
     pub(super) fn expand_pairs(
-        &mut self,
-        a: NodeId,
-        b: NodeId,
-        pairs: &[(f64, usize, usize)],
-    ) -> Vec<Expansion> {
-        // Fan out only on *large* merges: a typical expansion is cheaper
-        // than a thread spawn, and `merge` runs n-1 times per route, so
-        // unconditional spawning would make the parallel build slower than
-        // serial on multicore machines. The candidate-pair product is the
-        // same work proxy the pair-cost path thresholds on (64): when the
-        // children carry that many candidate combinations, the per-pair
-        // case analysis (sampling, snaking search, offset adjustment) is
-        // heavy enough to amortize the spawns.
-        const EXPAND_WORK_THRESHOLD: usize = 64;
-        let work = self.nodes[a.0].cands.len() * self.nodes[b.0].cands.len();
-        if pairs.len() < 2 || work < EXPAND_WORK_THRESHOLD {
-            return self.expand_pairs_serial(a, b, pairs);
-        }
-        // One scratch per worker thread, reused across its whole chunk
-        // (the forest's shared scratch cannot cross threads).
-        astdme_par::par_map_with(pairs, 2, Scratch::default, |scratch, &(_, ia, ib)| {
-            self.expand_one(a, b, ia, ib, scratch)
-        })
-    }
-
-    /// Expands every ranked pair against its own [`MergeCtx`] (serial
-    /// build).
-    #[cfg(not(feature = "parallel"))]
-    pub(super) fn expand_pairs(
-        &mut self,
-        a: NodeId,
-        b: NodeId,
-        pairs: &[(f64, usize, usize)],
-    ) -> Vec<Expansion> {
-        self.expand_pairs_serial(a, b, pairs)
-    }
-
-    /// Serial expansion, reusing the forest's scratch across all pairs so
-    /// the hot path allocates no per-pair buffers.
-    fn expand_pairs_serial(
         &mut self,
         a: NodeId,
         b: NodeId,

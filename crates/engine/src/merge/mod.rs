@@ -21,14 +21,14 @@
 //! |---|---|
 //! | [`mod@self`] | [`MergeForest`]: construction, accessors, the `merge` orchestration (rank → expand → commit → prune/fuse) |
 //! | `node` | [`NodeId`], the per-node candidate storage and cached hull / max-delay summaries |
-//! | `context` | `MergeCtx` (the immutable expansion view), the candidate `Overlay`, per-worker `Scratch` buffers |
-//! | `expand` | the expansion fan-out (parallel under the `parallel` feature), the deterministic overlay-replay commit, candidate pruning |
+//! | `context` | `MergeCtx` (the immutable expansion view), the candidate `Overlay`, reusable `Scratch` buffers |
+//! | `expand` | candidate-pair expansion, the deterministic overlay-replay commit, candidate pruning |
 //! | `pairing` | shared-constraint assembly, pair-cost estimation, cheapest-first candidate-pair ranking |
 //! | `cases` | the Fig. 6 case analysis: feasible splits, snaking, best-effort fallback |
 //! | `offset` | class fusing (steps 6–7) and recursive offset adjustment / wire sneaking |
 //! | `embed` | top-down embedding of a finished root into a [`RoutedTree`] |
 //!
-//! # Borrow discipline (and why expansion parallelizes)
+//! # Borrow discipline
 //!
 //! [`MergeForest::merge`] never hands `&mut self` to the case analysis.
 //! Instead it builds a `MergeCtx` — shared borrows of the node table,
@@ -36,10 +36,8 @@
 //! candidate pair against it. Anything an expansion *derives* (offset
 //! adjustment re-deriving child candidates) goes into the context's
 //! private overlay. Expansions only ever read state that predates the
-//! merge call, so they are independent; under the `parallel` feature they
-//! fan out through [`astdme_par::par_map`] and the commit phase replays
-//! the overlays in ranked-pair order, reproducing the serial result
-//! bit-for-bit. See `context` for details.
+//! merge call, so they are independent, and the commit phase replays the
+//! overlays in ranked-pair order. See `context` for details.
 
 use astdme_delay::DelayModel;
 use astdme_geom::{Point, Trr};

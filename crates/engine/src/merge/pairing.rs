@@ -170,47 +170,8 @@ impl MergeCtx<'_> {
         }
     }
 
-    /// Cost estimates for every listed index pair. With the `parallel`
-    /// feature, large pair sets fan out over threads (each worker with its
-    /// own [`Scratch`]); results are identical to the serial path.
-    #[cfg(feature = "parallel")]
+    /// Cost estimates for every listed index pair.
     pub(crate) fn pair_costs(
-        &self,
-        a: NodeId,
-        b: NodeId,
-        index_pairs: &[(usize, usize)],
-        scratch: &mut Scratch,
-    ) -> Vec<f64> {
-        // Below the fan-out threshold, thread spawns cost more than the
-        // estimates; reuse the shared scratch serially as the default
-        // build does. Above it, each worker thread builds one scratch and
-        // reuses it across its whole chunk (the shared one cannot cross
-        // threads).
-        const PAR_THRESHOLD: usize = 64;
-        if index_pairs.len() < PAR_THRESHOLD {
-            return self.pair_costs_serial(a, b, index_pairs, scratch);
-        }
-        astdme_par::par_map_with(
-            index_pairs,
-            PAR_THRESHOLD,
-            Scratch::default,
-            |scratch, &(ia, ib)| self.pair_cost_estimate(a, b, ia, ib, scratch),
-        )
-    }
-
-    /// Cost estimates for every listed index pair (serial build).
-    #[cfg(not(feature = "parallel"))]
-    pub(crate) fn pair_costs(
-        &self,
-        a: NodeId,
-        b: NodeId,
-        index_pairs: &[(usize, usize)],
-        scratch: &mut Scratch,
-    ) -> Vec<f64> {
-        self.pair_costs_serial(a, b, index_pairs, scratch)
-    }
-
-    fn pair_costs_serial(
         &self,
         a: NodeId,
         b: NodeId,

@@ -266,7 +266,7 @@ fn thread_spawn(path: &str, lx: &Lexed<'_>, diags: &mut Vec<Diagnostic>) {
                 t[i].line,
                 format!(
                     "`thread::{}` outside crates/par: fan out through astdme_par \
-                     (scope_with / spawn_pooled / par_map)",
+                     (claim_each / spawn_pooled / scope_with)",
                     t[i + 2].text
                 ),
             ));

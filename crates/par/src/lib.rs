@@ -1,38 +1,39 @@
-//! Ordered parallel map over slices, scheduled by work stealing onto a
-//! **persistent worker pool**.
+//! The workspace's one thread layer: a **persistent worker pool** and one
+//! instance-level claim loop on top of it.
 //!
-//! The workspace's `parallel` features parallelize pair-cost estimation in
-//! the merge engine and planner, and the fleet layer fans whole instances
-//! out across threads. The container image has no crates.io access, so
-//! instead of `rayon` this crate provides the primitives those layers
-//! need: an ordered fork-join map ([`par_map`], [`par_map_with`],
-//! [`par_map_indexed`]) that preserves input order (making parallel runs
-//! bit-identical to serial ones), plus the lower-level pool entry points
-//! ([`scope_with`], [`spawn_pooled`]) the fleet's completion-order
-//! streams are built on.
+//! AST-DME's bottom-up merge is sequential; parallelism pays at the
+//! instance level — fleet batches, streams and robustness sweeps. The
+//! container image has no crates.io access, so instead of `rayon` this
+//! crate provides the three entry points those layers need:
+//!
+//! * [`claim_each`] — the caller and pool helpers claim indices from one
+//!   shared cursor; helpers hand results back to the caller in completion
+//!   order, through a channel bounded at the caller's in-flight limit.
+//!   The fleet's batch barrier and the robustness sweep both run on it.
+//! * [`spawn_pooled`] — a detached job that owns its data; the fleet's
+//!   completion-order streams ride on it.
+//! * [`scope_with`] — the blocking barrier [`claim_each`] is built on.
 //!
 //! # The pool
 //!
 //! Worker threads are spawned lazily on first use, park on a private job
-//! channel between calls, and are **reused across calls** — a `par_map`
-//! is a submission to the pool, not a spawn/join cycle, so the per-call
-//! cost is a channel send and a wakeup rather than thread creation. The
-//! caller always participates in barrier calls as one of the workers
-//! (there is no handoff for the serial share of the work), and parked
+//! channel between calls, and are **reused across calls** — a fan-out is
+//! a submission to the pool, not a spawn/join cycle, so the per-call cost
+//! is a channel send and a wakeup rather than thread creation. Parked
 //! workers never keep the process alive. See [`pool_threads`] for the
 //! reuse diagnostic and the `pool` module docs for the lifecycle.
 //!
-//! # Scheduling: small-block work stealing
+//! # Scheduling: one claim per item
 //!
-//! Workers do **not** get fixed contiguous chunks. All workers share one
-//! atomic next-index cursor and repeatedly claim small blocks of
-//! consecutive items from it until the slice is exhausted. A worker that
-//! lands on cheap items comes back for more while a worker stuck on an
-//! expensive item keeps crunching — so skewed workloads (one huge item
-//! among many small ones) no longer leave most threads idle, which is
-//! exactly the shape of a routing portfolio. Each result is written to the
-//! slot of its *input* index, so the output vector is identical at every
-//! thread count: stealing changes scheduling, never output.
+//! Workers do **not** get fixed contiguous chunks. The caller and its
+//! helpers share one atomic next-index cursor and claim one index at a
+//! time until it runs dry. A worker that lands on cheap items comes back
+//! for more while a worker stuck on an expensive item keeps crunching — so skewed workloads (one
+//! huge instance among many small ones) do not leave threads idle, which
+//! is exactly the shape of a routing portfolio. Every result carries its
+//! index, so callers that write it to its input slot (or re-buffer into
+//! index order) produce output identical at every thread count: claiming
+//! changes scheduling, never output.
 //!
 //! # Thread counts
 //!
@@ -42,21 +43,19 @@
 //! `available_parallelism`. [`effective_threads`] reports the resolved
 //! value.
 //!
-//! # Nested parallelism
+//! # Nested fan-out
 //!
-//! The map never nests: pool threads are permanently marked, barrier
-//! callers are marked for the duration of their participation, and any
-//! call made *from inside a worker* takes the serial fallback. An outer
-//! fan-out (the fleet layer mapping over instances) therefore forces
-//! every inner fan-out (the engine mapping over candidate pairs) serial,
-//! instead of multiplying thread counts. Results are unchanged either way
-//! — the serial fallback is byte-for-byte the one-thread schedule — so
-//! the guard only prevents oversubscription, never changes output.
+//! Fan-outs never nest: pool threads are permanently marked, barrier
+//! callers are marked for the duration of the call, and any
+//! [`claim_each`] made *from inside a worker* runs in index order on that
+//! worker. Results are unchanged either way — the fallback is
+//! byte-for-byte the one-thread schedule — so the guard only prevents
+//! oversubscription, never changes output.
 //!
 //! # Panics
 //!
-//! If the mapped closure panics on a worker thread, the panic **payload**
-//! is re-raised on the caller via [`std::panic::resume_unwind`] — not
+//! If the claimed closure panics on a helper, the panic **payload** is
+//! re-raised on the caller via [`std::panic::resume_unwind`] — not
 //! swallowed into a generic join-failure message — so callers that isolate
 //! failures (the fleet layer catches per-instance panics) and test
 //! harnesses both see the original message. Pool workers survive
@@ -75,17 +74,19 @@ pub use pool::{pool_threads, scope_with, spawn_pooled};
 use std::cell::Cell;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::sync_channel;
 use std::sync::Mutex;
 use std::time::Instant;
 
 thread_local! {
-    /// Whether the current thread is a parallel-map worker. Workers run
-    /// nested calls serially (see the module docs).
+    /// Whether the current thread is a pool worker (or a barrier caller
+    /// for the duration of its call). Nested fan-outs run in index order
+    /// (see the module docs).
     pub(crate) static IN_WORKER: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Whether the calling thread is inside a parallel-map worker — i.e. a
-/// further [`par_map`] call from here would take the serial fallback.
+/// Whether the calling thread is inside a pool worker — i.e. a further
+/// [`claim_each`] call from here would run in index order on this thread.
 pub fn in_parallel_worker() -> bool {
     IN_WORKER.with(Cell::get)
 }
@@ -93,16 +94,15 @@ pub fn in_parallel_worker() -> bool {
 /// Process-global thread-count override (0 = none / auto).
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
-/// Forces every subsequent map call to use exactly `n` threads instead of
+/// Forces every subsequent fan-out to use exactly `n` threads instead of
 /// the automatic count (`None` restores auto — the `ASTDME_THREADS`
 /// environment variable if set, else `available_parallelism`). `Some(1)`
-/// runs the serial fallback — byte-for-byte the code path a build without
-/// any parallelism takes.
+/// runs the in-order fallback on the caller.
 ///
-/// Results are thread-count invariant by construction (outputs are
-/// written to input-order slots), so this knob only changes *scheduling*:
-/// the determinism tests sweep it to prove exactly that, and the scaling
-/// bench uses it for its parallel-vs-serial measurement. Process-global;
+/// Results are thread-count invariant by construction (every result
+/// carries its index), so this knob only changes *scheduling*: the
+/// determinism tests sweep it to prove exactly that, and the scaling
+/// bench pins it for its fleet and pool measurements. Process-global;
 /// concurrent tests that flip it should serialize on a lock and restore
 /// the previous value with [`override_guard`] so a failing test cannot
 /// poison later ones.
@@ -147,10 +147,9 @@ impl Drop for ThreadOverrideGuard {
 /// `ASTDME_THREADS` environment variable when set to an integer ≥ 1
 /// (the CI knob that makes fan-out real on single-core runners), else
 /// `available_parallelism`. Cached because the std call is not cheap on
-/// Linux (it re-reads cgroup quota files every time) and the merge engine
-/// calls [`par_map`] once per merge — uncached, the lookup alone cost ~2x
-/// on single-core machines. An explicit [`set_thread_override`] wins over
-/// both sources.
+/// Linux (it re-reads cgroup quota files every time) and every fleet
+/// batch, stream and sweep asks for it. An explicit
+/// [`set_thread_override`] wins over both sources.
 fn auto_threads() -> usize {
     static AUTO: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     *AUTO.get_or_init(|| {
@@ -173,35 +172,36 @@ pub fn effective_threads() -> usize {
     thread_override().map_or_else(auto_threads, NonZeroUsize::get)
 }
 
-/// Per-worker scheduling statistics of one parallel map call: the raw
+/// Per-worker scheduling statistics of one [`claim_each`] call: the raw
 /// material for load-balance and latency measurements (the scaling
 /// bench's skewed fleet portfolio records [`StealStats::balance`], and
 /// its `latency` section reads the queue-wait and idle columns).
 ///
 /// All four vectors are parallel: entry *j* describes worker *j* of the
-/// call (in completion order — which worker is which varies run to run,
-/// the multiset of entries is what's meaningful).
+/// call — the caller or one pool helper — in the order they finished
+/// (which worker is which varies run to run, the multiset of entries is
+/// what's meaningful). The in-order fallback has the caller as its single
+/// entry.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct StealStats {
-    /// Busy wall-clock seconds per worker, from the moment its work loop
-    /// started to the moment the shared cursor ran dry for it. One entry
-    /// per worker; exactly one entry when the call took the serial
-    /// fallback.
+    /// Busy wall-clock seconds per worker, from the moment its claim loop
+    /// started to the moment the shared cursor ran dry for it.
     pub worker_busy_seconds: Vec<f64>,
     /// Items processed per worker (sums to the input length).
     pub worker_items: Vec<usize>,
-    /// Seconds each worker waited between call submission and its work
-    /// loop starting — pool wakeup latency (near zero for the caller,
-    /// who starts immediately). Zero for the serial fallback.
+    /// Seconds each worker waited between call submission and its claim
+    /// loop starting — pool wakeup latency for a helper, zero for the
+    /// caller.
     pub worker_queue_wait_seconds: Vec<f64>,
     /// Seconds of each worker's busy window *not* spent executing items:
-    /// cursor claims, context setup, and result buffering. Zero for the
-    /// serial fallback.
+    /// cursor claims, blocking on the bounded result channel (helpers),
+    /// and delivering results (the caller). Zero for the in-order
+    /// fallback.
     pub worker_idle_seconds: Vec<f64>,
 }
 
 impl StealStats {
-    /// Number of workers that participated (1 for the serial fallback).
+    /// Number of workers that participated (1 for the in-order fallback).
     pub fn workers(&self) -> usize {
         self.worker_busy_seconds.len()
     }
@@ -213,7 +213,7 @@ impl StealStats {
     /// cursor ran dry is wakeup latency, not imbalance, and dividing by
     /// its ~zero busy time would turn the metric into noise. Defined as
     /// 1.0 when fewer than two workers processed items (including the
-    /// serial fallback).
+    /// in-order fallback).
     pub fn balance(&self) -> f64 {
         let busy = || {
             self.worker_busy_seconds
@@ -235,7 +235,7 @@ impl StealStats {
     }
 
     /// The worst queue wait across workers (0.0 with no workers): how
-    /// long the slowest-to-wake worker sat between submission and its
+    /// long the slowest-to-wake helper sat between submission and its
     /// first cursor claim.
     pub fn max_queue_wait_seconds(&self) -> f64 {
         self.worker_queue_wait_seconds
@@ -250,225 +250,154 @@ impl StealStats {
     }
 }
 
-/// How many steal blocks each worker's fair share is split into. Higher
-/// means finer-grained stealing (better balance, more cursor contention);
-/// 8 keeps the block claim cost negligible while letting a worker that
-/// drew the expensive items shed the rest of the slice to its peers.
-const BLOCKS_PER_WORKER: usize = 8;
-
-/// Steal-block size for `len` items over `threads` workers: small blocks,
-/// never zero. For the fleet's portfolio-sized inputs this degenerates to
-/// single-item stealing, which is what a handful of wildly-uneven
-/// instances wants.
-fn steal_block(len: usize, threads: usize) -> usize {
-    (len / (threads * BLOCKS_PER_WORKER)).max(1)
-}
-
-/// The worker count a call over `len` items would fan out to; 1 means the
-/// serial fallback (small input, single core, nested call, or an override
-/// of one). Public so the fleet layer can make the same decision for its
-/// own streaming loops and stay consistent with the map primitives.
-pub fn fanout_threads(len: usize, min_len: usize) -> usize {
+/// The thread count a call over `len` items fans out to (the caller plus
+/// pool helpers); 1 means the in-order loop on the caller (fewer than 2
+/// items, one thread, or a nested call).
+fn fanout_threads(len: usize) -> usize {
     let threads = effective_threads();
-    if len < min_len.max(2) || threads < 2 || in_parallel_worker() {
+    if len < 2 || threads < 2 || in_parallel_worker() {
         1
     } else {
         threads.min(len)
     }
 }
 
-/// The serial schedule: one context, one in-order pass. Both the fallback
-/// path and the one-thread reference the determinism tests compare
-/// against.
-fn serial_map<C, T, R>(
-    items: &[T],
-    make_ctx: impl Fn() -> C,
-    f: impl Fn(&mut C, usize, &T) -> R,
-) -> Vec<R> {
-    let mut ctx = make_ctx();
-    items
-        .iter()
-        .enumerate()
-        .map(|(i, item)| f(&mut ctx, i, item))
-        .collect()
-}
-
-/// One worker's contribution to a [`steal_map`] call.
-struct StealPart<R> {
-    results: Vec<(usize, R)>,
-    busy: f64,
-    queue_wait: f64,
-    idle: f64,
-}
-
-/// The work-stealing schedule on the pool: the caller plus `threads - 1`
-/// pool helpers share an atomic cursor, claim small blocks of consecutive
-/// indices, and tag every result with its input index; the caller-side
-/// reassembly writes each result into its input-order slot, so the output
-/// is bit-identical to [`serial_map`].
-fn steal_map<C, T, R, F>(
-    items: &[T],
-    threads: usize,
-    make_ctx: &(impl Fn() -> C + Sync),
-    f: &F,
-) -> (Vec<R>, StealStats)
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&mut C, usize, &T) -> R + Sync,
-{
-    let block = steal_block(items.len(), threads);
-    let next = AtomicUsize::new(0);
-    let submitted = Instant::now();
-    let parts: Mutex<Vec<StealPart<R>>> = Mutex::new(Vec::with_capacity(threads));
-    let work = |_slot: usize| {
-        let queue_wait = submitted.elapsed().as_secs_f64();
-        let t0 = Instant::now();
-        let mut ctx = make_ctx();
-        let mut results: Vec<(usize, R)> = Vec::new();
-        let mut item_seconds = 0.0f64;
-        loop {
-            let start = next.fetch_add(block, Ordering::Relaxed);
-            if start >= items.len() {
-                break;
-            }
-            let end = (start + block).min(items.len());
-            let tb = Instant::now();
-            for (i, item) in items[start..end].iter().enumerate() {
-                results.push((start + i, f(&mut ctx, start + i, item)));
-            }
-            item_seconds += tb.elapsed().as_secs_f64();
+/// One participant's claim loop over the shared cursor: claims indices
+/// until the cursor runs dry or `hand_off` refuses a result, and returns
+/// its row of [`StealStats`] as `(busy, items, idle)`.
+fn claim_loop<T>(
+    cursor: &AtomicUsize,
+    len: usize,
+    work: &(dyn Fn(usize) -> T + Sync),
+    mut hand_off: impl FnMut(usize, T) -> bool,
+) -> (f64, usize, f64) {
+    let t0 = Instant::now();
+    let mut items = 0usize;
+    let mut item_seconds = 0.0f64;
+    loop {
+        let i = cursor.fetch_add(1, Ordering::Relaxed);
+        if i >= len {
+            break;
         }
-        let busy = t0.elapsed().as_secs_f64();
-        parts
+        let tb = Instant::now();
+        let result = work(i);
+        item_seconds += tb.elapsed().as_secs_f64();
+        items += 1;
+        if !hand_off(i, result) {
+            break;
+        }
+    }
+    let busy = t0.elapsed().as_secs_f64();
+    (busy, items, (busy - item_seconds).max(0.0))
+}
+
+/// Runs `work(i)` for every `i` in `0..len` and passes each result to
+/// `deliver(i, result)` on the calling thread, in completion order.
+///
+/// The caller and up to [`effective_threads`] minus one pool helpers
+/// claim indices one at a time from a shared cursor. Helpers send
+/// `(index, result)` pairs over a channel bounded at `in_flight` (at
+/// least 1), so a helper blocks rather than let more than `in_flight`
+/// undelivered results pile up; the caller delivers its own results
+/// directly and drains the channel between its items, then until every
+/// helper has finished. Callers that need input order write each result
+/// to its index slot or re-buffer; the result set is identical at every
+/// thread count.
+///
+/// With fewer than 2 items, a thread count of 1, or a call from inside a
+/// pool worker, the call is an in-order loop on the caller; when the pool
+/// grants no helpers, the caller claims every index itself, which is the
+/// same order.
+///
+/// Returns the per-worker [`StealStats`].
+///
+/// # Panics
+///
+/// A panic in `work` on a helper ends that helper (dropping its sender,
+/// so the drain cannot hang on it); the caller and the other helpers
+/// finish the cursor and the payload is re-raised on the caller after the
+/// join. A panic in `work` or `deliver` on the caller drops the receiver,
+/// which stops every helper at its next send, and is re-raised likewise.
+pub fn claim_each<T: Send>(
+    len: usize,
+    in_flight: usize,
+    work: &(dyn Fn(usize) -> T + Sync),
+    mut deliver: impl FnMut(usize, T),
+) -> StealStats {
+    let threads = fanout_threads(len);
+    if threads < 2 {
+        let t0 = Instant::now();
+        for i in 0..len {
+            deliver(i, work(i));
+        }
+        return StealStats {
+            worker_busy_seconds: vec![t0.elapsed().as_secs_f64()],
+            worker_items: vec![len],
+            worker_queue_wait_seconds: vec![0.0],
+            worker_idle_seconds: vec![0.0],
+        };
+    }
+    let helpers = threads - 1;
+    let (tx, rx) = sync_channel::<(usize, T)>(in_flight.max(1));
+    // One sender per requested helper, taken by the helper that runs in
+    // that slot; the caller keeps none, so the final drain ends exactly
+    // when the last helper is done (or has unwound).
+    let senders: Vec<_> = (0..helpers).map(|_| Mutex::new(Some(tx.clone()))).collect();
+    drop(tx);
+    let take_sender = |slot: usize| {
+        senders[slot]
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .push(StealPart {
-                results,
-                busy,
-                queue_wait,
-                idle: (busy - item_seconds).max(0.0),
-            });
+            .take()
     };
-    // The caller participates as a worker; helpers come from the pool.
-    // If the pool is saturated and fewer (or zero) helpers run, the
-    // cursor still covers every index — the call just balances worse.
-    pool::scope_with(threads - 1, &work, |_running| work(0));
-    let parts = parts.into_inner().unwrap_or_else(|e| e.into_inner());
-    let mut stats = StealStats::default();
-    let mut slots: Vec<Option<R>> = Vec::with_capacity(items.len());
-    slots.resize_with(items.len(), || None);
-    for part in parts {
-        stats.worker_items.push(part.results.len());
-        stats.worker_busy_seconds.push(part.busy);
-        stats.worker_queue_wait_seconds.push(part.queue_wait);
-        stats.worker_idle_seconds.push(part.idle);
-        for (i, r) in part.results {
-            debug_assert!(slots[i].is_none(), "index {i} claimed twice");
-            slots[i] = Some(r);
+    let cursor = &AtomicUsize::new(0);
+    let submitted = Instant::now();
+    let stats = Mutex::new(StealStats::default());
+    let record = |queue_wait: f64, (busy, items, idle): (f64, usize, f64)| {
+        let mut stats = stats.lock().unwrap_or_else(|e| e.into_inner());
+        stats.worker_busy_seconds.push(busy);
+        stats.worker_items.push(items);
+        stats.worker_queue_wait_seconds.push(queue_wait);
+        stats.worker_idle_seconds.push(idle);
+    };
+    let helper = |slot: usize| {
+        let Some(tx) = take_sender(slot - 1) else {
+            return;
+        };
+        let queue_wait = submitted.elapsed().as_secs_f64();
+        let row = claim_loop(cursor, len, work, |i, result| tx.send((i, result)).is_ok());
+        drop(tx);
+        record(queue_wait, row);
+    };
+    scope_with(helpers, &helper, move |running| {
+        // Moved in: if the caller panics, the receiver drops with the
+        // unwind and blocked helpers fail their send instead of hanging.
+        let rx = rx;
+        for slot in running..helpers {
+            drop(take_sender(slot));
         }
-    }
-    let out = slots
-        .into_iter()
-        .map(|s| s.expect("stealing cursor covers every index exactly once"))
-        .collect();
-    (out, stats)
-}
-
-/// The serial fallback's [`StealStats`]: one worker, whole-loop busy time,
-/// no queue wait and no scheduling idle.
-fn serial_stats(len: usize, busy: f64) -> StealStats {
-    StealStats {
-        worker_busy_seconds: vec![busy],
-        worker_items: vec![len],
-        worker_queue_wait_seconds: vec![0.0],
-        worker_idle_seconds: vec![0.0],
-    }
-}
-
-/// Maps `f` over `items` with the index of each item, using up to
-/// [`effective_threads`] pool workers. Inputs shorter than `min_len` (or
-/// single-core machines, or calls from inside a worker) run serially.
-/// Results land in input order regardless of which worker computed them,
-/// so output is deterministic at every thread count.
-pub fn par_map_indexed<T, R, F>(items: &[T], min_len: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let threads = fanout_threads(items.len(), min_len);
-    if threads < 2 {
-        return serial_map(items, || (), |(), i, item| f(i, item));
-    }
-    steal_map(items, threads, &|| (), &|(): &mut (), i, item| f(i, item)).0
-}
-
-/// Like [`par_map_indexed`], but additionally returns the per-worker
-/// [`StealStats`] of the run — the fleet layer's balance measurements ride
-/// on this. The serial fallback reports a single worker whose busy time is
-/// the whole loop.
-pub fn par_map_indexed_stats<T, R, F>(items: &[T], min_len: usize, f: F) -> (Vec<R>, StealStats)
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let threads = fanout_threads(items.len(), min_len);
-    if threads < 2 {
-        let t0 = Instant::now();
-        let out = serial_map(items, || (), |(), i, item| f(i, item));
-        let stats = serial_stats(items.len(), t0.elapsed().as_secs_f64());
-        return (out, stats);
-    }
-    steal_map(items, threads, &|| (), &|(): &mut (), i, item| f(i, item))
-}
-
-/// Maps `f` over `items`, in input order — a thin wrapper over the
-/// work-stealing scheduler of [`par_map_indexed`] that ignores the item
-/// index.
-pub fn par_map<T, R, F>(items: &[T], min_len: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    par_map_indexed(items, min_len, |_, item| f(item))
-}
-
-/// Like [`par_map`], but each worker thread builds one scratch context
-/// with `make_ctx` and threads it through every item it steals — for
-/// callers whose per-item work wants reusable buffers without per-item
-/// allocation. The serial fallback builds exactly one context. A thin
-/// wrapper over the same work-stealing scheduler as [`par_map_indexed`].
-pub fn par_map_with<C, T, R, F>(
-    items: &[T],
-    min_len: usize,
-    make_ctx: impl Fn() -> C + Sync,
-    f: F,
-) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&mut C, &T) -> R + Sync,
-{
-    let threads = fanout_threads(items.len(), min_len);
-    if threads < 2 {
-        return serial_map(items, make_ctx, |ctx, _, item| f(ctx, item));
-    }
-    steal_map(items, threads, &make_ctx, &|ctx: &mut C, _, item| {
-        f(ctx, item)
-    })
-    .0
+        let row = claim_loop(cursor, len, work, |i, result| {
+            deliver(i, result);
+            for (j, early) in rx.try_iter() {
+                deliver(j, early);
+            }
+            true
+        });
+        record(0.0, row);
+        for (i, result) in rx.iter() {
+            deliver(i, result);
+        }
+    });
+    stats.into_inner().unwrap_or_else(|e| e.into_inner())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::mpsc;
-    use std::sync::{Mutex, MutexGuard};
+    use std::sync::MutexGuard;
 
-    /// Tests touching the process-global override (or asserting worker
+    /// Tests touching the process-global override (or asserting helper
     /// counts, which the override perturbs) serialize on this lock.
     static OVERRIDE_LOCK: Mutex<()> = Mutex::new(());
 
@@ -481,20 +410,40 @@ mod tests {
         (lock, override_guard(n))
     }
 
+    /// `claim_each` collected into index order.
+    fn collect<T: Send>(
+        len: usize,
+        in_flight: usize,
+        work: &(dyn Fn(usize) -> T + Sync),
+    ) -> (Vec<T>, StealStats) {
+        let mut slots: Vec<Option<T>> = (0..len).map(|_| None).collect();
+        let stats = claim_each(len, in_flight, work, |i, r| {
+            assert!(slots[i].replace(r).is_none(), "index {i} delivered twice");
+        });
+        let out = slots
+            .into_iter()
+            .map(|s| s.expect("every index delivered"))
+            .collect();
+        (out, stats)
+    }
+
     #[test]
     fn thread_override_is_respected_and_results_invariant() {
         let _pin = pinned(None);
-        let items: Vec<u64> = (0..500).collect();
-        let expected: Vec<u64> = items.iter().map(|x| x * 7).collect();
+        let expected: Vec<u64> = (0..500).map(|x| x * 7).collect();
         for n in [1usize, 2, 3, 8] {
             set_thread_override(NonZeroUsize::new(n));
             assert_eq!(thread_override(), NonZeroUsize::new(n));
             assert_eq!(effective_threads(), n);
-            assert_eq!(par_map(&items, 0, |x| x * 7), expected, "threads = {n}");
+            assert_eq!(
+                collect(500, 4, &|i| i as u64 * 7).0,
+                expected,
+                "threads = {n}"
+            );
         }
         set_thread_override(None);
         assert_eq!(thread_override(), None);
-        assert_eq!(par_map(&items, 0, |x| x * 7), expected);
+        assert_eq!(collect(500, 4, &|i| i as u64 * 7).0, expected);
     }
 
     #[test]
@@ -510,47 +459,25 @@ mod tests {
     }
 
     #[test]
-    fn preserves_order_and_values() {
-        let items: Vec<u64> = (0..1000).collect();
-        let serial: Vec<u64> = items.iter().map(|x| x * 3 + 1).collect();
-        let parallel = par_map(&items, 0, |x| x * 3 + 1);
-        assert_eq!(serial, parallel);
-    }
-
-    #[test]
-    fn indexed_map_sees_input_indices() {
-        let _pin = pinned(NonZeroUsize::new(4));
-        let items: Vec<u64> = (0..777).map(|x| x * 2).collect();
-        let out = par_map_indexed(&items, 0, |i, &x| (i as u64) * 1000 + x);
-        let expected: Vec<u64> = items
-            .iter()
-            .enumerate()
-            .map(|(i, &x)| (i as u64) * 1000 + x)
-            .collect();
-        assert_eq!(out, expected);
-    }
-
-    #[test]
     fn skewed_costs_stay_bit_identical() {
         // One very expensive item at the front, many cheap ones behind it:
-        // the work-stealing schedule must reassemble input order exactly.
+        // indexed delivery must reassemble input order exactly.
         let _pin = pinned(NonZeroUsize::new(4));
-        let items: Vec<u32> = (0..97).map(|i| if i == 0 { 200_000 } else { 50 }).collect();
-        let crunch = |x: u32| -> u64 { (0..x as u64).fold(7u64, |a, b| a.wrapping_mul(31) ^ b) };
-        let serial: Vec<u64> = items.iter().map(|&x| crunch(x)).collect();
-        assert_eq!(par_map(&items, 0, |&x| crunch(x)), serial);
+        let cost = |i: usize| if i == 0 { 200_000u64 } else { 50 };
+        let crunch = |x: u64| -> u64 { (0..x).fold(7u64, |a, b| a.wrapping_mul(31) ^ b) };
+        let serial: Vec<u64> = (0..97).map(|i| crunch(cost(i))).collect();
+        assert_eq!(collect(97, 97, &|i| crunch(cost(i))).0, serial);
     }
 
     #[test]
     fn stats_cover_every_item_and_worker() {
         let _pin = pinned(NonZeroUsize::new(4));
-        let items: Vec<u64> = (0..300).collect();
-        let (out, stats) = par_map_indexed_stats(&items, 0, |_, &x| x + 1);
+        let (out, stats) = collect(300, 300, &|i| i as u64 + 1);
         assert_eq!(out, (1..=300).collect::<Vec<u64>>());
         assert_eq!(stats.workers(), 4);
-        assert_eq!(stats.worker_items.iter().sum::<usize>(), items.len());
+        assert_eq!(stats.worker_items.iter().sum::<usize>(), 300);
         assert!(stats.balance() >= 1.0);
-        // The new latency columns are parallel to the busy column and
+        // The latency columns are parallel to the busy column and
         // non-negative.
         assert_eq!(stats.worker_queue_wait_seconds.len(), 4);
         assert_eq!(stats.worker_idle_seconds.len(), 4);
@@ -560,7 +487,7 @@ mod tests {
 
     #[test]
     fn balance_ignores_workers_that_claimed_nothing() {
-        // A worker that woke after the cursor ran dry (0 items, ~zero
+        // A helper that woke after the cursor ran dry (0 items, ~zero
         // busy time) is wakeup latency, not imbalance.
         let stats = StealStats {
             worker_busy_seconds: vec![2.0, 1.0, 1e-7],
@@ -577,10 +504,11 @@ mod tests {
     }
 
     #[test]
-    fn serial_fallback_reports_one_worker() {
+    fn in_order_fallback_reports_one_worker() {
         let _pin = pinned(NonZeroUsize::new(1));
-        let items: Vec<u64> = (0..10).collect();
-        let (_, stats) = par_map_indexed_stats(&items, 0, |_, &x| x);
+        let mut seen = Vec::new();
+        let stats = claim_each(10, 1, &|i| i, |i, r| seen.push((i, r)));
+        assert_eq!(seen, (0..10).map(|i| (i, i)).collect::<Vec<_>>());
         assert_eq!(stats.workers(), 1);
         assert_eq!(stats.worker_items, vec![10]);
         assert_eq!(stats.worker_queue_wait_seconds, vec![0.0]);
@@ -589,18 +517,35 @@ mod tests {
     }
 
     #[test]
-    fn worker_panic_payload_reaches_the_caller() {
+    fn single_slot_channel_with_slow_consumer_completes() {
         let _pin = pinned(NonZeroUsize::new(4));
-        let items: Vec<u64> = (0..64).collect();
+        let mut delivered = 0usize;
+        let stats = claim_each(40, 1, &|i| i * 2, |i, r| {
+            assert_eq!(r, i * 2);
+            std::thread::sleep(std::time::Duration::from_millis(1));
+            delivered += 1;
+        });
+        assert_eq!(delivered, 40);
+        assert_eq!(stats.worker_items.iter().sum::<usize>(), 40);
+    }
+
+    #[test]
+    fn helper_panic_payload_reaches_the_caller() {
+        let _pin = pinned(NonZeroUsize::new(4));
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            par_map(&items, 0, |&x| {
-                if x == 13 {
-                    panic!("boom at {x}");
-                }
-                x
-            })
+            claim_each(
+                64,
+                2,
+                &|i| {
+                    if i == 13 {
+                        panic!("boom at {i}");
+                    }
+                    i
+                },
+                |_, _| {},
+            )
         }))
-        .expect_err("the worker panic must propagate");
+        .expect_err("the helper panic must propagate");
         let msg = caught
             .downcast_ref::<String>()
             .cloned()
@@ -609,31 +554,44 @@ mod tests {
     }
 
     #[test]
+    fn deliver_panic_stops_blocked_helpers() {
+        let _pin = pinned(NonZeroUsize::new(4));
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            claim_each(256, 1, &|i| i, |i, _| {
+                assert!(i % 64 != 5, "deliver failed")
+            })
+        }))
+        .expect_err("the deliver panic must propagate");
+        let msg = caught
+            .downcast_ref::<&str>()
+            .copied()
+            .expect("literal panics carry a &str payload");
+        assert_eq!(msg, "deliver failed");
+    }
+
+    #[test]
     fn pool_survives_panicking_jobs_and_is_reused() {
         let _pin = pinned(NonZeroUsize::new(4));
-        let items: Vec<u64> = (0..64).collect();
         let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            par_map(&items, 0, |&x| {
-                assert_ne!(x, 7, "injected");
-                x
+            collect(64, 64, &|i| {
+                assert_ne!(i, 7, "injected");
+                i
             })
         }));
-        // The panicking call's workers went back to the idle list; the
+        // The panicking call's helpers went back to the idle list; the
         // next call runs normally on the same pool.
-        let expected: Vec<u64> = items.iter().map(|x| x + 1).collect();
-        assert_eq!(par_map(&items, 0, |x| x + 1), expected);
+        assert_eq!(collect(64, 64, &|i| i + 1).0, (1..=64).collect::<Vec<_>>());
     }
 
     #[test]
     fn repeated_calls_reuse_pool_threads() {
         let _pin = pinned(NonZeroUsize::new(3));
-        let items: Vec<u64> = (0..256).collect();
         // Warm the pool, then measure: many further calls at the same
         // width must not spawn additional threads.
-        let _ = par_map(&items, 0, |x| x + 1);
+        let _ = collect(256, 256, &|i| i + 1);
         let warmed = pool_threads();
         for _ in 0..32 {
-            let _ = par_map(&items, 0, |x| x * 2);
+            let _ = collect(256, 256, &|i| i * 2);
         }
         assert_eq!(
             pool_threads(),
@@ -649,7 +607,7 @@ mod tests {
             let tx = tx.clone();
             spawn_pooled(move || {
                 // Detached jobs run on marked workers: nested fan-outs
-                // inside them take the serial fallback.
+                // inside them run in index order.
                 assert!(in_parallel_worker());
                 tx.send(i * 10).unwrap();
             });
@@ -680,67 +638,37 @@ mod tests {
     }
 
     #[test]
-    fn small_inputs_run_serially() {
-        let items = [1, 2, 3];
-        assert_eq!(par_map(&items, 64, |x| x + 1), vec![2, 3, 4]);
+    fn tiny_and_empty_inputs_run_in_order() {
+        let _pin = pinned(NonZeroUsize::new(4));
+        let mut seen = Vec::new();
+        let stats = claim_each(1, 1, &|i| i + 1, |i, r| seen.push((i, r)));
+        assert_eq!((seen, stats.workers()), (vec![(0, 1)], 1));
+        let stats = claim_each(0, 1, &|i| i, |_, _| unreachable!("no items"));
+        assert_eq!(stats.worker_items, vec![0]);
     }
 
     #[test]
-    fn empty_input_is_fine() {
-        let items: [u32; 0] = [];
-        assert!(par_map(&items, 0, |x| *x).is_empty());
-    }
-
-    #[test]
-    fn nested_par_map_runs_serially_inside_workers() {
+    fn nested_call_runs_in_index_order_on_the_worker() {
         let _pin = pinned(NonZeroUsize::new(4));
         assert!(!in_parallel_worker(), "main thread is not a worker");
-        let items: Vec<u64> = (0..64).collect();
-        // Each outer item runs an inner par_map; the guard must force the
-        // inner one onto the worker thread itself (observable via the
-        // worker flag staying set and results staying correct).
-        let nested_flags = par_map(&items, 0, |&x| {
-            let inner: Vec<u64> = par_map(&[x, x + 1, x + 2], 0, |y| y * 2);
-            (in_parallel_worker(), inner)
+        // Each outer item runs an inner claim loop; the guard must keep
+        // the inner one on the helper itself, in index order.
+        let (nested, _) = collect(64, 64, &|x| {
+            let mut order = Vec::new();
+            let stats = claim_each(5, 1, &|j| x * 10 + j, |j, r| order.push((j, r)));
+            (in_parallel_worker(), stats.workers(), order)
         });
-        for (i, (flagged, inner)) in nested_flags.iter().enumerate() {
-            assert!(*flagged, "outer item {i} should run on a marked worker");
-            let x = i as u64;
-            assert_eq!(inner, &vec![2 * x, 2 * x + 2, 2 * x + 4]);
+        for (x, (flagged, workers, order)) in nested.into_iter().enumerate() {
+            assert!(flagged, "outer item {x} should run on a marked worker");
+            assert_eq!(
+                workers, 1,
+                "outer item {x}: the inner call must not fan out"
+            );
+            assert_eq!(order, (0..5).map(|j| (j, x * 10 + j)).collect::<Vec<_>>());
         }
         assert!(
             !in_parallel_worker(),
-            "participation must not leak the worker mark"
-        );
-    }
-
-    #[test]
-    fn par_map_with_reuses_one_context_per_worker() {
-        // Pin the override: the worker-count bound below must match the
-        // fan-out actually used, not whatever the auto count says — and
-        // certainly not an override a previously-failed test left behind
-        // (the RAII guards rule that out, too).
-        let _pin = pinned(NonZeroUsize::new(4));
-        let items: Vec<u64> = (0..10_000).collect();
-        let contexts = AtomicUsize::new(0);
-        let out = par_map_with(
-            &items,
-            0,
-            || {
-                contexts.fetch_add(1, Ordering::SeqCst);
-                Vec::<u64>::new()
-            },
-            |buf, &x| {
-                buf.clear();
-                buf.push(x);
-                buf[0] * 2
-            },
-        );
-        assert_eq!(out, items.iter().map(|x| x * 2).collect::<Vec<_>>());
-        let workers = effective_threads();
-        assert!(
-            contexts.load(Ordering::SeqCst) <= workers.min(items.len()),
-            "one context per worker, not per item"
+            "the call must not leak the worker mark"
         );
     }
 }

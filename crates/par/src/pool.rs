@@ -10,8 +10,8 @@
 //! back into the idle list and parks on its channel again. Workers are
 //! never joined — a parked worker costs one blocked OS thread and nothing
 //! else, and parked threads do not keep the process alive. Every pool
-//! thread is permanently marked as a parallel worker, so any nested
-//! fan-out from a job takes the serial fallback (see the crate docs).
+//! thread is permanently marked as a pool worker, so any nested fan-out
+//! from a job runs in index order on that worker (see the crate docs).
 //!
 //! # Two submission shapes
 //!
@@ -47,8 +47,9 @@ struct Ticket(Sender<Job>);
 /// Hard cap on pool threads per process — a sanity backstop far above any
 /// real fan-out (thread counts come from `available_parallelism` or an
 /// explicit override), not a tuning knob. Checkout shortfalls beyond it
-/// degrade gracefully: barriers run the work on fewer helpers (the caller
-/// always participates), detached jobs fall back to a one-shot thread.
+/// degrade gracefully: barriers run the work on fewer helpers (or in
+/// order on the caller when none is granted), detached jobs fall back to
+/// a one-shot thread.
 const MAX_POOL_THREADS: usize = 256;
 
 struct Pool {
@@ -162,7 +163,7 @@ impl Latch {
     }
 }
 
-/// Runs `f` with the current thread marked as a parallel worker, restoring
+/// Runs `f` with the current thread marked as a pool worker, restoring
 /// the previous mark afterwards (including on unwind) — the caller-side
 /// half of the nested-fanout guard.
 fn run_as_worker<R>(f: impl FnOnce() -> R) -> R {
@@ -179,13 +180,13 @@ fn run_as_worker<R>(f: impl FnOnce() -> R) -> R {
 /// The blocking barrier primitive: runs `work(1..=running)` on up to
 /// `helpers` pool workers while the caller runs `main(running)` on its own
 /// thread (marked as a worker for the duration, so nested fan-outs inside
-/// `main` take the serial fallback), then blocks until every helper has
+/// `main` run in index order), then blocks until every helper has
 /// finished before returning `main`'s result.
 ///
-/// `running` is the number of helpers actually checked out — it can be
-/// less than `helpers` (down to zero) if the pool is saturated, so a
-/// `main` that *consumes* helper output must fall back to producing
-/// inline when it receives zero.
+/// `running` is the number of helpers actually handed a job, numbered
+/// `1..=running` — it can be less than `helpers` (down to zero) if the
+/// pool is saturated, so a `main` that *consumes* helper output must fall
+/// back to producing inline when it receives zero.
 ///
 /// Because this call does not return (or unwind) until every helper is
 /// done, `work` may borrow data from the caller's stack even though pool
@@ -204,11 +205,10 @@ pub fn scope_with<R>(
     main: impl FnOnce(usize) -> R,
 ) -> R {
     let tickets = checkout(helpers);
-    let running = tickets.len();
-    if running == 0 {
+    if tickets.is_empty() {
         return run_as_worker(|| main(0));
     }
-    let latch = Arc::new(Latch::new(running));
+    let latch = Arc::new(Latch::new(tickets.len()));
     let panic_slot: PanicSlot = Arc::new(Mutex::new(None));
     // SAFETY: `work` is only erased to `'static` so it can cross into the
     // pool threads' job boxes. Every job that captures it counts down the
@@ -218,11 +218,13 @@ pub fn scope_with<R>(
     // `work` after its countdown, so the reference never outlives the
     // data it borrows.
     let work_static: &'static (dyn Fn(usize) + Sync) = unsafe { std::mem::transmute(work) };
-    for (slot, ticket) in tickets.into_iter().enumerate() {
+    let mut running = 0usize;
+    for ticket in tickets {
+        let slot = running + 1;
         let job_latch = Arc::clone(&latch);
         let panic_slot = Arc::clone(&panic_slot);
         let job: Job = Box::new(move || {
-            let result = catch_unwind(AssertUnwindSafe(|| work_static(slot + 1)));
+            let result = catch_unwind(AssertUnwindSafe(|| work_static(slot)));
             if let Err(payload) = result {
                 let mut slot = panic_slot.lock().unwrap_or_else(|e| e.into_inner());
                 if slot.is_none() {
@@ -231,10 +233,13 @@ pub fn scope_with<R>(
             }
             job_latch.count_down();
         });
-        if ticket.0.send(job).is_err() {
+        if ticket.0.send(job).is_ok() {
+            running += 1;
+        } else {
             // The worker's thread is gone (cannot happen while it holds
             // its own sender, but stay conservative): take over its latch
-            // share so the barrier below cannot hang.
+            // share so the barrier below cannot hang, and hand its slot
+            // number to the next helper so `1..=running` stays exact.
             latch.count_down();
         }
     }
@@ -253,7 +258,7 @@ pub fn scope_with<R>(
 /// Submits one detached job to the pool: it runs when a worker picks it
 /// up, and nothing waits for it — the job must own everything it touches
 /// (`'static`). The worker running it is marked, so nested fan-outs
-/// inside the job take the serial fallback.
+/// inside the job run in index order.
 ///
 /// If the pool is saturated (`MAX_POOL_THREADS` live workers, all busy)
 /// the job falls back to a dedicated one-shot thread, and if even thread

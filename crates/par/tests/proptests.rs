@@ -1,7 +1,7 @@
-//! Scheduler determinism under skew: random mixed-cost workloads mapped at
-//! thread overrides 1/2/3/8 must produce output bit-identical to the
-//! serial schedule — work stealing changes who computes an item, never
-//! what lands in its slot.
+//! Claim-loop determinism under skew: random mixed-cost workloads run
+//! through `claim_each` at thread overrides 1/2/3/8 must deliver every
+//! index exactly once with its serial value — claiming changes who
+//! computes an item and when it arrives, never what it is.
 
 use std::num::NonZeroUsize;
 
@@ -47,41 +47,26 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn stealing_is_bit_identical_to_serial_across_thread_counts(items in workload()) {
+    fn claim_each_delivers_every_index_once_with_the_serial_value(items in workload()) {
         // RAII: a failing case restores whatever override was active
         // before this test instead of leaking its last sweep value.
-        let _guard = astdme_par::override_guard(NonZeroUsize::new(1));
-        let f = |i: usize, &(v, rounds): &(u64, u32)| crunch(v ^ i as u64, rounds);
-        let serial: Vec<u64> = items
-            .iter()
-            .enumerate()
-            .map(|(i, item)| f(i, item))
-            .collect();
-        prop_assert_eq!(&astdme_par::par_map_indexed(&items, 0, f), &serial);
-        for threads in [2usize, 3, 8] {
+        let _guard = astdme_par::override_guard(None);
+        let f = |i: usize| {
+            let (v, rounds) = items[i];
+            crunch(v ^ i as u64, rounds)
+        };
+        let serial: Vec<u64> = (0..items.len()).map(f).collect();
+        for threads in [1usize, 2, 3, 8] {
             astdme_par::set_thread_override(NonZeroUsize::new(threads));
-            prop_assert_eq!(
-                &astdme_par::par_map_indexed(&items, 0, f),
-                &serial,
-                "par_map_indexed diverged at {} threads", threads
-            );
-            let (out, stats) = astdme_par::par_map_indexed_stats(&items, 0, f);
-            prop_assert_eq!(&out, &serial, "stats variant diverged at {} threads", threads);
-            prop_assert_eq!(stats.worker_items.iter().sum::<usize>(), items.len());
-            let plain: Vec<u64> = astdme_par::par_map(&items, 0, |&(v, rounds)| crunch(v, rounds));
-            let plain_serial: Vec<u64> =
-                items.iter().map(|&(v, rounds)| crunch(v, rounds)).collect();
-            prop_assert_eq!(&plain, &plain_serial, "par_map diverged at {} threads", threads);
-            let with_ctx = astdme_par::par_map_with(
-                &items,
-                0,
-                || 0u64,
-                |scratch, &(v, rounds)| {
-                    *scratch = crunch(v, rounds);
-                    *scratch
-                },
-            );
-            prop_assert_eq!(&with_ctx, &plain_serial, "par_map_with diverged at {} threads", threads);
+            for in_flight in [1usize, items.len()] {
+                let mut got: Vec<Option<u64>> = vec![None; items.len()];
+                let stats = astdme_par::claim_each(items.len(), in_flight, &f, |i, r| {
+                    assert!(got[i].replace(r).is_none(), "index {i} delivered twice");
+                });
+                let got: Vec<u64> = got.into_iter().map(|r| r.expect("index delivered")).collect();
+                prop_assert_eq!(&got, &serial, "diverged at {} threads", threads);
+                prop_assert_eq!(stats.worker_items.iter().sum::<usize>(), items.len());
+            }
         }
     }
 }

@@ -26,10 +26,6 @@
 //! The schemes only *order* merges; skew feasibility is enforced by the
 //! engine regardless, so any ordering yields a correct tree — ordering
 //! affects wirelength and runtime.
-//!
-//! With the `parallel` feature, exact merge-cost refinement inside a
-//! planning round fans out over threads (`astdme_par`); results are
-//! bit-identical to serial runs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,19 +40,3 @@ pub use plan::{
     TopoConfig, BRUTE_FORCE_CUTOFF,
 };
 pub use planner::{MergePlanner, NnSnapshotRow};
-
-/// Marker bound for planner spaces: with the `parallel` feature enabled it
-/// requires [`Sync`] (spaces are shared across worker threads); without it
-/// every type qualifies. Blanket-implemented — never implement it manually.
-#[cfg(feature = "parallel")]
-pub trait MaybeSync: Sync {}
-#[cfg(feature = "parallel")]
-impl<T: Sync + ?Sized> MaybeSync for T {}
-
-/// Marker bound for planner spaces: with the `parallel` feature enabled it
-/// requires [`Sync`] (spaces are shared across worker threads); without it
-/// every type qualifies. Blanket-implemented — never implement it manually.
-#[cfg(not(feature = "parallel"))]
-pub trait MaybeSync {}
-#[cfg(not(feature = "parallel"))]
-impl<T: ?Sized> MaybeSync for T {}

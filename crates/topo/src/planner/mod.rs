@@ -74,7 +74,7 @@ use std::collections::BinaryHeap;
 use astdme_geom::Trr;
 
 use crate::plan::{round_limit, select_disjoint, BRUTE_FORCE_CUTOFF};
-use crate::{GridIndex, MaybeSync, MergeSpace, TopoConfig};
+use crate::{GridIndex, MergeSpace, TopoConfig};
 
 mod keys;
 mod pairs;
@@ -352,7 +352,7 @@ impl MergePlanner {
     /// best first, exactly as [`plan_round`](crate::plan_round) would
     /// return them. Does not modify the active set — report merges back
     /// via [`MergePlanner::apply_round`] / [`MergePlanner::apply_merge`].
-    pub fn plan_round<S: MergeSpace + MaybeSync>(&mut self, space: &S) -> Vec<(usize, usize)> {
+    pub fn plan_round<S: MergeSpace>(&mut self, space: &S) -> Vec<(usize, usize)> {
         let n = self.entries.len();
         if n < 2 {
             return Vec::new();

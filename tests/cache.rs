@@ -12,8 +12,7 @@
 //! portfolio at one thread, where lookup order is deterministic. For
 //! instances anchored at the origin, translation normalization is the
 //! exact identity and cached outcomes additionally coincide with the
-//! cache-free path. Runs under both feature sets in CI (default and
-//! `parallel`).
+//! cache-free path.
 
 use std::num::NonZeroUsize;
 use std::sync::{Mutex, MutexGuard};

@@ -11,8 +11,7 @@
 //! retune, cached-frame anchor drift, non-replayable plans), each of
 //! which names its [`RerouteReason`]. Net no-op batches
 //! (move-then-move-back, insert-then-delete) return the standing tree
-//! without routing. Runs under both feature sets in CI (default and
-//! `parallel`).
+//! without routing.
 
 use std::num::NonZeroUsize;
 use std::sync::{Mutex, MutexGuard};
