@@ -19,7 +19,8 @@
 //!
 //! The binary runs under a counting global allocator; every run emits an
 //! `allocs_per_merge` section recording total allocations per merge for
-//! the incremental planner under both merge orders.
+//! the incremental planner under both merge orders, at [`GROUPS`] and at
+//! [`ALLOC_GROUPS_WIDE`] groups (`--alloc-budget` gates every row).
 //!
 //! Every run also emits a `batch_throughput` section: a portfolio of
 //! distinct instances routed through the fleet layer
@@ -66,11 +67,13 @@
 //!   vs the batch barrier's full wait, asserted strictly smaller
 //!   in-binary (the stream yields each outcome as it completes; the
 //!   barrier returns nothing until the last instance lands);
-//! * **pool-reuse speedup** — repeated small batches through the
-//!   persistent pool vs a resurrected spawn-per-call baseline (scoped
-//!   threads spawned and joined every call, the pre-pool shape), under an
-//!   explicit four-thread override so the fan-out engages even on a
-//!   single-core box; asserted ≥ 1.0 in-binary;
+//! * **pool reuse** — repeated small batches through the persistent pool
+//!   vs a resurrected spawn-per-call baseline (scoped threads spawned and
+//!   joined every call, the pre-pool shape), under an explicit
+//!   four-thread override so the fan-out engages even on a single-core
+//!   box. Gated in-binary by count: the pooled passes start no pool
+//!   thread. The time ratio
+//!   (`pool_reuse_speedup`) is recorded, not gated;
 //! * **barrier-free sweep throughput** — Monte Carlo variants/sec through
 //!   the streaming sweep (no chunk barriers);
 //! * the barrier's per-worker queue-wait and idle seconds (also surfaced
@@ -148,6 +151,11 @@ const DEFAULT_SIZES: [usize; 4] = [250, 1000, 4000, 16000];
 /// Group count for the synthetic instances (intermingled, as in Table II).
 const GROUPS: usize = 4;
 
+/// The second group count of the `allocs_per_merge` rows: past the
+/// four groups a `DelayMap` holds inline, as on the paper's k = 8–10
+/// tables and the large workloads.
+const ALLOC_GROUPS_WIDE: usize = 8;
+
 const SEED: u64 = 2006;
 
 /// Largest n the from-scratch planner runs at in greedy order: it is
@@ -171,6 +179,7 @@ struct Measurement {
 #[derive(Debug, Clone)]
 struct AllocMeasurement {
     n: usize,
+    groups: usize,
     order: &'static str,
     total_allocs: u64,
     allocs_per_merge: f64,
@@ -181,8 +190,12 @@ fn instance(n: usize) -> Instance {
 }
 
 fn instance_seeded(n: usize, seed: u64) -> Instance {
+    instance_grouped(n, seed, GROUPS)
+}
+
+fn instance_grouped(n: usize, seed: u64, groups: usize) -> Instance {
     let p = synthetic_instance(n, seed, &format!("s{n}"));
-    let inst = partition::intermingled(&p, GROUPS, seed ^ 0xBEEF).expect("valid partition");
+    let inst = partition::intermingled(&p, groups, seed ^ 0xBEEF).expect("valid partition");
     inst.with_groups(
         inst.groups()
             .clone()
@@ -275,6 +288,7 @@ fn measure(n: usize, inst: &Instance) -> Vec<Measurement> {
 /// hot path). Deterministic for a fixed build, so the JSON section is a
 /// regression baseline, not a wall-clock estimate.
 fn measure_allocs(n: usize, inst: &Instance) -> Vec<AllocMeasurement> {
+    let groups = inst.groups().group_count();
     let model = DelayModel::elmore(*inst.rc());
     let engine = EngineConfig::fast();
     let mut out = Vec::new();
@@ -287,10 +301,11 @@ fn measure_allocs(n: usize, inst: &Instance) -> Vec<AllocMeasurement> {
         let total_allocs = alloc_count() - a0;
         let allocs_per_merge = total_allocs as f64 / (n - 1) as f64;
         eprintln!(
-            "n={n:>6} {order_name:<12} allocs/merge {allocs_per_merge:7.2}  ({total_allocs} total)"
+            "n={n:>6} k={groups:<2} {order_name:<12} allocs/merge {allocs_per_merge:7.2}  ({total_allocs} total)"
         );
         out.push(AllocMeasurement {
             n,
+            groups,
             order: order_name,
             total_allocs,
             allocs_per_merge,
@@ -813,8 +828,12 @@ struct LatencyMeasurement {
     barrier_over_first_result: f64,
     /// Small batches routed per timed pass of the pool-reuse comparison.
     pool_reuse_calls: usize,
+    /// Pool threads the pooled passes started (0, asserted in-binary: the
+    /// pool reuses its parked workers).
+    pool_reuse_threads_started: usize,
     /// Spawn-per-call baseline time over persistent-pool time for the
-    /// same sequence of small batches (>= 1.0, asserted in-binary).
+    /// same sequence of small batches. Recorded, not gated: on a shared
+    /// box the ratio of two millisecond timings flips now and then.
     pool_reuse_speedup: f64,
     /// Pool threads alive after the measurement — reuse means this stays
     /// at the fan-out width instead of growing per call.
@@ -877,8 +896,9 @@ fn route_batch_spawn_per_call(instances: &[Instance], router: &AstDme, threads: 
 /// batches, and the barrier-free Monte Carlo sweep throughput.
 ///
 /// Asserts in-binary: stream wirelengths bit-equal to the sequential
-/// reference, `time_to_first_result < batch_barrier_seconds`, and
-/// `pool_reuse_speedup >= 1.0`.
+/// reference, `time_to_first_result < batch_barrier_seconds`, and, by
+/// count, pool reuse: the pooled passes start no pool thread.
+/// `pool_reuse_speedup` is recorded only.
 fn measure_latency(quick: bool) -> LatencyMeasurement {
     const LAT_REPS: usize = 3;
     const LARGE_N: usize = 4000;
@@ -971,6 +991,10 @@ fn measure_latency(quick: bool) -> LatencyMeasurement {
         .collect();
     let mut best_spawn = f64::INFINITY;
     let mut best_pool = f64::INFINITY;
+    // The warm-up batch above parked every helper the override asks for,
+    // and a helper re-parks before its barrier releases the caller, so
+    // the pooled passes must find all their helpers idle.
+    let pool_before = astdme_par::pool_threads();
     for _rep in 0..LAT_REPS {
         let t0 = Instant::now();
         for _ in 0..POOL_CALLS {
@@ -990,12 +1014,13 @@ fn measure_latency(quick: bool) -> LatencyMeasurement {
         best_pool = best_pool.min(t0.elapsed().as_secs_f64());
     }
     astdme_par::set_thread_override(None);
-    let pool_reuse_speedup = best_spawn / best_pool;
-    assert!(
-        pool_reuse_speedup >= 1.0,
-        "the persistent pool must not lose to spawn-per-call on repeated small batches; \
-         measured {pool_reuse_speedup:.3}x over {POOL_CALLS} calls"
+    let pool_started = astdme_par::pool_threads() - pool_before;
+    assert_eq!(
+        pool_started, 0,
+        "the persistent pool must reuse its parked workers: {LAT_REPS} passes of \
+         {POOL_CALLS} calls started {pool_started} pool threads"
     );
+    let pool_reuse_speedup = best_spawn / best_pool;
 
     // Barrier-free Monte Carlo sweep throughput on a small nominal
     // instance — workers stream variants through the pool with no chunk
@@ -1025,6 +1050,7 @@ fn measure_latency(quick: bool) -> LatencyMeasurement {
         batch_barrier_seconds: best_barrier,
         barrier_over_first_result: best_barrier / best_first,
         pool_reuse_calls: POOL_CALLS,
+        pool_reuse_threads_started: pool_started,
         pool_reuse_speedup,
         pool_threads: astdme_par::pool_threads(),
         sweep_variants,
@@ -1104,6 +1130,7 @@ fn to_json(
             json::object(
                 &[
                     json::field("n", format!("{}", m.n)),
+                    json::field("groups", format!("{}", m.groups)),
                     json::field("planner", json::quote("incremental")),
                     json::field("order", json::quote(m.order)),
                     json::field("engine", json::quote("fast")),
@@ -1229,6 +1256,10 @@ fn to_json(
                         json::number(m.barrier_over_first_result),
                     ),
                     json::field("pool_reuse_calls", format!("{}", m.pool_reuse_calls)),
+                    json::field(
+                        "pool_reuse_threads_started",
+                        format!("{}", m.pool_reuse_threads_started),
+                    ),
                     json::field("pool_reuse_speedup", json::number(m.pool_reuse_speedup)),
                     json::field("pool_threads", format!("{}", m.pool_threads)),
                     json::field("sweep_variants", format!("{}", m.sweep_variants)),
@@ -1243,8 +1274,9 @@ fn to_json(
                     json::field("total_idle_seconds", json::number(m.total_idle_seconds)),
                     // All three latency guarantees are asserted inside the
                     // measurement (bit-equal wirelengths, first result
-                    // before the barrier, pool reuse >= 1.0); recorded so
-                    // CI can grep them.
+                    // before the barrier, no pool thread started by the
+                    // pooled passes); recorded so the read-back checks
+                    // them.
                     json::field("wirelength_bit_equal", "true"),
                 ],
                 4,
@@ -1285,6 +1317,7 @@ fn check_scaling_output(path: &str) {
             "latency",
             &[
                 "time_to_first_result_seconds",
+                "pool_reuse_threads_started",
                 "pool_reuse_speedup",
                 "sweep_variants_per_sec",
             ],
@@ -1338,6 +1371,10 @@ fn main() {
         let inst = instance(n);
         measurements.extend(measure(n, &inst));
         alloc_measurements.extend(measure_allocs(n, &inst));
+        alloc_measurements.extend(measure_allocs(
+            n,
+            &instance_grouped(n, SEED, ALLOC_GROUPS_WIDE),
+        ));
     }
     // Fleet throughput: a uniform portfolio at the smallest requested
     // size (the batch-vs-sequential comparison is about the fan-out
@@ -1383,8 +1420,9 @@ fn main() {
         for m in &alloc_measurements {
             assert!(
                 m.allocs_per_merge <= budget,
-                "allocs/merge over budget at n={} {}: {:.2} > {budget}",
+                "allocs/merge over budget at n={} k={} {}: {:.2} > {budget}",
                 m.n,
+                m.groups,
                 m.order,
                 m.allocs_per_merge
             );

@@ -61,9 +61,12 @@ impl fmt::Display for DelayRange {
 type Entry = (GroupId, DelayRange);
 
 /// Inline capacity of a [`DelayMap`]: maps at or below this many groups
-/// live entirely on the stack. Instances carry a handful of groups (the
-/// paper's tables use 2–6), and a subtree's map can only ever hold groups
-/// that actually reach it, so spills are rare even on unusual workloads.
+/// live entirely on the stack. The paper's tables route k = 4–10 groups
+/// and the large workloads 5–10, so on those a subtree spills to the heap
+/// once it reaches a fifth group — routinely near the root, where a
+/// subtree spans most groups. The merge path builds maps only for
+/// candidates that survive pruning, which keeps the spills to the kept
+/// candidates.
 const INLINE_GROUPS: usize = 4;
 
 /// Small-map storage: inline array for the common case, heap spill beyond
@@ -137,9 +140,9 @@ impl Default for Store {
 /// maps share.
 ///
 /// Maps of up to `INLINE_GROUPS` groups are stored inline (no heap
-/// allocation); larger maps spill to a `Vec` transparently. Since every
-/// merge candidate carries a map, this keeps candidate construction — the
-/// engine's innermost loop — allocation-free for realistic group counts.
+/// allocation); larger maps spill to a `Vec` transparently. Every merge
+/// candidate carries a map, so building one is allocation-free up to that
+/// many groups and one allocation beyond.
 ///
 /// ```
 /// use astdme_engine::{DelayMap, DelayRange, GroupId};
@@ -153,8 +156,8 @@ impl Default for Store {
 /// ```
 #[derive(Clone, Default)]
 pub struct DelayMap {
-    // Sorted by GroupId; typically 1-4 entries, so a flat store beats any
-    // tree or hash map.
+    // Sorted by GroupId; at most one entry per instance group (a handful
+    // to ten), so a flat store beats any tree or hash map.
     entries: Store,
 }
 
@@ -256,28 +259,53 @@ impl DelayMap {
     /// Merges two maps (ranges hulled for shared groups). Callers are
     /// responsible for shifting each side by its wire delay first.
     pub fn merge(&self, other: &Self) -> Self {
+        self.merge_with(other, |r| r, |r| r)
+    }
+
+    /// `self.shifted(da).merge(&other.shifted(db))` without the two
+    /// intermediate maps: the merged candidate's map, built in one pass
+    /// (bit-identical, as every range is shifted the same way).
+    ///
+    /// ```
+    /// use astdme_engine::{DelayMap, GroupId};
+    ///
+    /// let (a, b) = (DelayMap::leaf(GroupId(0)), DelayMap::leaf(GroupId(0)));
+    /// let m = a.merge_shifted(1e-12, &b, 3e-12);
+    /// assert_eq!(m, a.shifted(1e-12).merge(&b.shifted(3e-12)));
+    /// ```
+    pub fn merge_shifted(&self, da: f64, other: &Self, db: f64) -> Self {
+        self.merge_with(other, |r| r.shift(da), |r| r.shift(db))
+    }
+
+    /// The merge walk, mapping each side's ranges on the way.
+    fn merge_with(
+        &self,
+        other: &Self,
+        fa: impl Fn(DelayRange) -> DelayRange,
+        fb: impl Fn(DelayRange) -> DelayRange,
+    ) -> Self {
         let (a, b) = (self.as_slice(), other.as_slice());
         let (mut i, mut j) = (0, 0);
         let mut entries = Store::default();
         while i < a.len() || j < b.len() {
             if j >= b.len() {
-                entries.push(a[i]);
+                entries.push((a[i].0, fa(a[i].1)));
                 i += 1;
             } else if i >= a.len() {
-                entries.push(b[j]);
+                entries.push((b[j].0, fb(b[j].1)));
                 j += 1;
             } else {
                 match a[i].0.cmp(&b[j].0) {
                     std::cmp::Ordering::Less => {
-                        entries.push(a[i]);
+                        entries.push((a[i].0, fa(a[i].1)));
                         i += 1;
                     }
                     std::cmp::Ordering::Greater => {
-                        entries.push(b[j]);
+                        entries.push((b[j].0, fb(b[j].1)));
                         j += 1;
                     }
                     std::cmp::Ordering::Equal => {
-                        entries.push((a[i].0, a[i].1.hull(&b[j].1)));
+                        entries.push((a[i].0, fa(a[i].1).hull(&fb(b[j].1))));
                         i += 1;
                         j += 1;
                     }

@@ -33,15 +33,15 @@
 //! assembly and pair-cost ranking), `merge::cases` (the Fig. 6 case
 //! analysis), `merge::offset` (class fusing and wire sneaking), and
 //! `merge::embed` (top-down embedding); `merge` itself holds
-//! [`MergeForest`] and the rank → expand → commit orchestration.
+//! [`MergeForest`] and the rank → expand → prune orchestration.
 //!
 //! The central discipline: `MergeForest::merge` never hands `&mut self`
-//! to the case analysis. Expansion runs against a `MergeCtx` of shared
-//! borrows plus a private overlay for derived candidates, so every
-//! expansion is a pure function of pre-merge state; the overlays are
-//! committed deterministically in ranked-pair order afterwards, and the
-//! ECO merge log records from that commit. See the `merge` module docs
-//! for the full map and the commit protocol.
+//! to the case analysis. Each ranked pair is expanded against a
+//! `MergeCtx` of shared borrows plus a private overlay for candidates
+//! derived on existing nodes, so an expansion is a pure function of the
+//! forest state it starts from; a non-empty overlay is committed before
+//! the next pair, and the ECO merge log records from that commit. See
+//! the `merge` module docs for the full map and the commit protocol.
 //!
 //! # Example
 //!

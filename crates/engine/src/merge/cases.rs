@@ -7,21 +7,23 @@
 use astdme_delay::{feasible_splits, min_total_for_feasibility, SharedConstraint};
 use astdme_geom::{merge_locus, Interval};
 
-use crate::{CandKind, Candidate};
+use crate::{CandKind, Candidate, DelayMap};
 
 use super::context::{MergeCtx, Scratch};
 use super::NodeId;
 
 impl MergeCtx<'_> {
-    /// Expands one child-candidate pair into merged candidates. Returns the
-    /// candidates plus the skew residual incurred (0 when solved exactly).
+    /// Expands one child-candidate pair, appending the merged candidates to
+    /// `out` with their delay maps left empty: `merge` builds maps only for
+    /// the candidates that survive pruning. Returns the skew residual
+    /// incurred (0 when solved exactly).
     ///
-    /// Mutation is confined to the context's overlay (candidates the
-    /// offset-adjustment machinery derives on existing nodes), which is
-    /// what lets `merge` fan expansions out across threads. `scratch` is
-    /// the caller's buffer set (one per worker): every constraint assembly
-    /// on this path reuses it, so an expansion allocates nothing beyond
-    /// the candidates it produces.
+    /// Mutation is confined to `out` and the context's overlay (candidates
+    /// the offset-adjustment machinery derives on existing nodes, committed
+    /// by `merge` only when non-empty). `scratch` is the forest's buffer
+    /// set: every constraint assembly on this path reuses it, so an
+    /// expansion allocates nothing beyond the candidates it derives on
+    /// existing nodes.
     pub(crate) fn expand_pair(
         &mut self,
         a: NodeId,
@@ -29,11 +31,12 @@ impl MergeCtx<'_> {
         ia: usize,
         ib: usize,
         scratch: &mut Scratch,
-    ) -> (Vec<Candidate>, f64) {
+        out: &mut Vec<Candidate>,
+    ) -> f64 {
         self.shared_constraints_in(a, b, ia, ib, scratch);
         // Cases 1-3 (plus snaking) at the pair as given.
-        if let Some(cands) = self.try_expand_at(a, b, ia, ib, &scratch.cons, &mut scratch.samples) {
-            return (cands, 0.0);
+        if self.try_expand_at(a, b, ia, ib, scratch, out) {
+            return 0.0;
         }
         // Case 4: conflicting δ-windows — only re-balancing inside a child
         // can align the groups (the paper's wire sneaking, Fig. 5).
@@ -55,10 +58,8 @@ impl MergeCtx<'_> {
         }
         if let Some((ia2, ib2)) = self.adjust_offsets(a, b, ia, ib, scratch) {
             self.shared_constraints_in(a, b, ia2, ib2, scratch);
-            if let Some(cands) =
-                self.try_expand_at(a, b, ia2, ib2, &scratch.cons, &mut scratch.samples)
-            {
-                return (cands, 0.0);
+            if self.try_expand_at(a, b, ia2, ib2, scratch, out) {
+                return 0.0;
             }
         }
         // Best effort: minimize the worst window violation.
@@ -69,60 +70,55 @@ impl MergeCtx<'_> {
         // reused the buffers); assembly is deterministic, so this is the
         // same constraint set the first attempt saw.
         self.shared_constraints_in(a, b, ia, ib, scratch);
-        self.best_effort(a, b, ia, ib, &scratch.cons)
+        let (cand, residual) = self.best_effort(a, b, ia, ib, &scratch.cons);
+        out.push(cand);
+        residual
     }
 
-    /// Cases 1-3 plus snaking for one concrete pair: sample the feasible
-    /// splits at the geometric distance, else at the minimum total wire
-    /// that restores feasibility (the snaking detour). `None` means the
-    /// δ-windows conflict outright and case 4 must take over.
+    /// Cases 1-3 plus snaking for one concrete pair, whose constraints are
+    /// in `scratch.cons`: sample the feasible splits at the geometric
+    /// distance, else at the minimum total wire that restores feasibility
+    /// (the snaking detour), appending one merged candidate per sample to
+    /// `out`. `false` means the δ-windows conflict outright and case 4 must
+    /// take over.
     fn try_expand_at(
         &self,
         a: NodeId,
         b: NodeId,
         ia: usize,
         ib: usize,
-        cons: &[SharedConstraint],
-        samples: &mut Vec<f64>,
-    ) -> Option<Vec<Candidate>> {
+        scratch: &mut Scratch,
+        out: &mut Vec<Candidate>,
+    ) -> bool {
         let (ca, cb) = (self.cand(a, ia), self.cand(b, ib));
         let d = ca.region.distance(&cb.region);
-        let (cap_a, cap_b) = (ca.cap, cb.cap);
-        let set = feasible_splits(self.model, cap_a, cap_b, d, cons, self.cfg.skew_tol);
-        if !set.is_empty() {
-            return Some(self.sample_candidates(a, b, ia, ib, d, &set, samples));
+        let (cap_a, cap_b, tol) = (ca.cap, cb.cap, self.cfg.skew_tol);
+        let cons = &scratch.cons;
+        let mut total = d;
+        let mut set = feasible_splits(self.model, cap_a, cap_b, d, cons, tol);
+        if set.is_empty() {
+            let Some(t) = min_total_for_feasibility(self.model, cap_a, cap_b, d, cons, tol) else {
+                return false;
+            };
+            total = t + (t * 1e-12).max(1e-9);
+            set = feasible_splits(self.model, cap_a, cap_b, total, cons, tol);
+            if set.is_empty() {
+                return false;
+            }
         }
-        let t = min_total_for_feasibility(self.model, cap_a, cap_b, d, cons, self.cfg.skew_tol)?;
-        let t = t + (t * 1e-12).max(1e-9);
-        let set = feasible_splits(self.model, cap_a, cap_b, t, cons, self.cfg.skew_tol);
-        (!set.is_empty()).then(|| self.sample_candidates(a, b, ia, ib, t, &set, samples))
+        set.sample_into(self.cfg.split_samples, &mut scratch.samples);
+        out.extend(scratch.samples.iter().map(|&ea| {
+            let ea = ea.clamp(0.0, total);
+            self.merged(a, b, ia, ib, ea, total - ea)
+        }));
+        true
     }
 
-    /// Builds candidates for sampled splits of a feasible set. `samples`
-    /// is a reused staging buffer (cleared here).
-    #[allow(clippy::too_many_arguments)] // mirrors build_candidate's pair/split args plus the buffer
-    pub(crate) fn sample_candidates(
-        &self,
-        a: NodeId,
-        b: NodeId,
-        ia: usize,
-        ib: usize,
-        total: f64,
-        set: &astdme_delay::IntervalSet,
-        samples: &mut Vec<f64>,
-    ) -> Vec<Candidate> {
-        set.sample_into(self.cfg.split_samples, samples);
-        samples
-            .iter()
-            .map(|&ea| {
-                let ea = ea.clamp(0.0, total);
-                self.build_candidate(a, b, ia, ib, ea, total - ea)
-            })
-            .collect()
-    }
-
-    /// Constructs the merged candidate for an explicit wire split.
-    pub(crate) fn build_candidate(
+    /// The merged candidate for an explicit wire split, with its delay map
+    /// left empty: region, load, wirelength and provenance need no delays,
+    /// and pruning reads nothing else. [`MergeCtx::merged_delays`] builds
+    /// the map from the provenance.
+    pub(crate) fn merged(
         &self,
         a: NodeId,
         b: NodeId,
@@ -132,13 +128,11 @@ impl MergeCtx<'_> {
         eb: f64,
     ) -> Candidate {
         let (ca, cb) = (self.cand(a, ia), self.cand(b, ib));
-        let da = self.model.wire_delay(ea, ca.cap);
-        let db = self.model.wire_delay(eb, cb.cap);
         let region = merge_locus(&ca.region, &cb.region, ea, eb)
             .expect("split must cover the geometric distance");
         Candidate {
             region,
-            delays: ca.delays.shifted(da).merge(&cb.delays.shifted(db)),
+            delays: DelayMap::default(),
             cap: ca.cap + cb.cap + self.model.wire_cap(ea + eb),
             wirelen: ca.wirelen + cb.wirelen + ea + eb,
             kind: CandKind::Merge {
@@ -150,8 +144,26 @@ impl MergeCtx<'_> {
         }
     }
 
+    /// The delay map of the merge of candidates `ia` of `a` and `ib` of
+    /// `b` at wire split `(ea, eb)`: each child's map delayed by its wire.
+    pub(crate) fn merged_delays(
+        &self,
+        a: NodeId,
+        b: NodeId,
+        ia: usize,
+        ib: usize,
+        ea: f64,
+        eb: f64,
+    ) -> DelayMap {
+        let (ca, cb) = (self.cand(a, ia), self.cand(b, ib));
+        let da = self.model.wire_delay(ea, ca.cap);
+        let db = self.model.wire_delay(eb, cb.cap);
+        ca.delays.merge_shifted(da, &cb.delays, db)
+    }
+
     /// Fallback when offsets cannot be aligned: merge at the δ minimizing
-    /// the worst window violation and record the residual.
+    /// the worst window violation and record the residual. The candidate's
+    /// delay map is left empty, as in [`MergeCtx::merged`].
     pub(crate) fn best_effort(
         &self,
         a: NodeId,
@@ -159,7 +171,7 @@ impl MergeCtx<'_> {
         ia: usize,
         ib: usize,
         cons: &[SharedConstraint],
-    ) -> (Vec<Candidate>, f64) {
+    ) -> (Candidate, f64) {
         let (ca, cb) = (self.cand(a, ia), self.cand(b, ib));
         let d = ca.region.distance(&cb.region);
         // Minimax point over the windows: midpoint of [max lo, min hi].
@@ -200,9 +212,6 @@ impl MergeCtx<'_> {
             .monotone_root(Interval::new(0.0, total))
             .unwrap_or(0.5 * total)
             .clamp(0.0, total);
-        (
-            vec![self.build_candidate(a, b, ia, ib, ea, total - ea)],
-            residual,
-        )
+        (self.merged(a, b, ia, ib, ea, total - ea), residual)
     }
 }

@@ -1,58 +1,60 @@
 //! The explicit merge context: an immutable view of the forest plus a
-//! private candidate overlay, so candidate-pair expansion is a pure
-//! function of pre-merge state.
+//! private candidate overlay, so expanding one candidate pair is a pure
+//! function of the forest state it starts from.
 //!
 //! # Borrow discipline
 //!
-//! [`MergeForest::merge`](crate::MergeForest::merge) runs in two phases:
+//! [`MergeForest::merge`](crate::MergeForest::merge) expands its ranked
+//! child-candidate pairs one after another. Each expansion runs against a
+//! fresh [`MergeCtx`]: shared `&` borrows of the forest's nodes, model,
+//! config and class state, plus an owned [`Overlay`] where the
+//! offset-adjustment machinery parks any candidates it derives on
+//! *existing* nodes. The merged candidates themselves go straight into one
+//! reused buffer. Back under `&mut self`, a non-empty overlay is committed
+//! before the next pair is expanded: its candidates are appended to their
+//! nodes in overlay order, which lands each at exactly the index the
+//! overlay handed out, so no provenance index needs remapping. An empty
+//! overlay, the common case, commits nothing. The commit is the one place
+//! an expansion mutates the forest, so the ECO merge log records from
+//! there.
 //!
-//! 1. **Expansion** — every selected child-candidate pair is expanded
-//!    against a [`MergeCtx`]: shared `&` borrows of the forest's nodes,
-//!    model, config and class state, plus an owned [`Overlay`] where the
-//!    offset-adjustment machinery parks any candidates it derives on
-//!    *existing* nodes. Expansions never see each other's overlays (a
-//!    pair's provenance chain predates the merge), so each one is a pure
-//!    function of pre-merge state.
-//! 2. **Commit** — back under `&mut self`, the forest replays each
-//!    expansion's overlay in pair order, remapping overlay-local candidate
-//!    indices to their final positions. This reproduces the exact indices
-//!    the old single-borrow code produced, and it is the one place the
-//!    forest mutates — so the ECO merge log records from here.
-//!
-//! [`Scratch`] buffers (constraint assembly) are threaded as
-//! explicit `&mut` parameters rather than stored in the context, so a
-//! context can hand out `&Candidate` borrows while a callee fills buffers.
+//! [`Scratch`] buffers are threaded as explicit `&mut` parameters rather
+//! than stored in the context, so a context can hand out `&Candidate`
+//! borrows while a callee fills buffers.
 
 use astdme_delay::{DelayModel, SharedConstraint};
 
 use crate::{Candidate, EngineConfig, GroupId};
 
 use super::node::Node;
+use super::pairing::{ClassEntry, RankedPair};
 use super::NodeId;
 
-/// Reusable buffers for the hot constraint-assembly path
-/// ([`MergeCtx::pair_cost_estimate`]): per-call `Vec` allocations in the
-/// inner loop of `merge` showed up as a constant-factor tax, so the forest
-/// carries one scratch set and reuses it across merges.
+/// Reusable buffers of the merge path, carried by the forest so a merge
+/// allocates no working storage of its own once the buffers have grown.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Scratch {
-    pub(crate) ea: Vec<(u32, f64, f64, f64)>,
-    pub(crate) eb: Vec<(u32, f64, f64, f64)>,
+    /// Class entries of the two candidates of one constraint assembly
+    /// (`shared_constraints_in`), and of class fusing.
+    pub(crate) ea: Vec<ClassEntry>,
+    pub(crate) eb: Vec<ClassEntry>,
     pub(crate) cons: Vec<SharedConstraint>,
-    /// Split-sample staging for `sample_candidates`.
+    /// Split-sample staging for `try_expand_at`.
     pub(crate) samples: Vec<f64>,
-    /// Candidate-index-pair staging for `rank_candidate_pairs`.
-    pub(crate) index_pairs: Vec<(usize, usize)>,
-    /// Commit-phase node snapshots/bases (`commit_expansions`): small
-    /// `(node, count)` association lists reused across merges.
-    pub(crate) snap: Vec<(usize, usize)>,
-    pub(crate) bases: Vec<(usize, usize)>,
+    /// `rank_candidate_pairs`: every child candidate's class entries,
+    /// concatenated, and the end offset of each candidate's run.
+    pub(crate) ents: Vec<ClassEntry>,
+    pub(crate) ent_ends: Vec<usize>,
+    /// The ranked pairs of the current merge.
+    pub(crate) pairs: Vec<RankedPair>,
+    /// The merged candidates of the current merge, before pruning.
+    pub(crate) merged: Vec<Candidate>,
 }
 
 /// Candidates derived on *existing* nodes during one pair expansion
-/// (offset adjustment / wire sneaking), indexed past the node's pre-merge
-/// candidate count. Owned by a [`MergeCtx`]; committed to the forest in
-/// pair order afterwards.
+/// (offset adjustment / wire sneaking), indexed past the node's candidate
+/// count at the start of the expansion. Owned by a [`MergeCtx`]; committed
+/// to the forest right after the expansion.
 ///
 /// Storage is three flat vectors (append list, intrusive per-node chain,
 /// first-touch tail table) instead of a `HashMap<node, Vec<positions>>`:
@@ -61,10 +63,10 @@ pub(crate) struct Scratch {
 /// of how many candidates a deep offset-adjustment recursion derives.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Overlay {
-    /// `(node index, candidate)` in append order. Append order guarantees
-    /// a candidate's overlay-local provenance indices refer to entries
-    /// earlier in this list (children are derived before the parents that
-    /// reference them), which is what lets the commit remap in one pass.
+    /// `(node index, candidate)` in append order. Children are derived
+    /// before the parents that reference them, and a node's entries appear
+    /// in slot order, so committing in this order puts every candidate at
+    /// the index its provenance already names.
     added: Vec<(usize, Candidate)>,
     /// `prev[i]`: index in `added` of the previous candidate for the same
     /// node (`NO_PREV` for a node's first), forming per-node chains.
@@ -112,9 +114,9 @@ impl Overlay {
         slot
     }
 
-    /// The touched node indices (with repeats, in append order).
-    pub(crate) fn nodes(&self) -> impl Iterator<Item = usize> + '_ {
-        self.added.iter().map(|(n, _)| *n)
+    /// Whether the expansion derived no candidate on an existing node.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.added.is_empty()
     }
 
     /// Consumes the overlay in append order.
@@ -157,7 +159,7 @@ impl<'a> MergeCtx<'a> {
     }
 
     /// Candidate `i` of `node`: a committed candidate when `i` is below the
-    /// node's pre-merge count, an overlay entry otherwise.
+    /// node's committed count, an overlay entry otherwise.
     pub(crate) fn cand(&self, node: NodeId, i: usize) -> &Candidate {
         let base = &self.nodes[node.0].cands;
         if i < base.len() {
@@ -189,13 +191,4 @@ pub(crate) fn class_of_in(class_parent: &[u32], g: GroupId) -> u32 {
         c = class_parent[c as usize];
     }
     c
-}
-
-/// The result of expanding one child-candidate pair: the merged candidates
-/// (with provenance indices still overlay-local), the skew residual
-/// incurred, and the overlay of candidates derived on existing nodes.
-pub(crate) struct Expansion {
-    pub(crate) cands: Vec<Candidate>,
-    pub(crate) residual: f64,
-    pub(crate) overlay: Overlay,
 }

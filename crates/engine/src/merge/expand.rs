@@ -1,153 +1,91 @@
-//! Candidate-pair expansion and the deterministic commit.
+//! Candidate-pair expansion, the overlay commit, pruning, and the delay
+//! maps of the pruned survivors.
 //!
 //! Split from `mod.rs` (which keeps the `merge` orchestration): this file
-//! owns the expand -> commit half of a merge — expanding ranked pairs
-//! against their own [`MergeCtx`](super::context::MergeCtx) snapshots,
-//! replaying each pair's overlay in ranked order so the committed
-//! candidate contents *and indices* are fixed by the ranking alone, and
-//! pruning the merged node's candidate list. See the module docs in `mod.rs` for the
-//! borrow discipline that makes expansions independent.
+//! owns the expand -> commit -> prune half of a merge. Ranked pairs are
+//! expanded in order, each against its own
+//! [`MergeCtx`](super::context::MergeCtx); merged candidates are appended
+//! straight into one buffer, and an expansion's overlay is committed
+//! before the next pair only when it derived candidates on existing
+//! nodes. See the module docs in `context.rs` for why the overlay's
+//! indices are final.
 
 use crate::{CandKind, Candidate};
 
-use super::context::{Expansion, Scratch};
+use super::context::Overlay;
+use super::pairing::RankedPair;
 use super::{MergeForest, NodeId};
 
 impl MergeForest {
-    /// Expands every ranked pair against its own [`MergeCtx`], reusing the
-    /// forest's scratch across all pairs so the hot path allocates no
-    /// per-pair buffers.
+    /// Expands every ranked pair in order, appending the merged candidates
+    /// to `out` with their delay maps still empty (see
+    /// [`MergeForest::fill_delays`]). Returns the worst skew residual the
+    /// expansions incurred.
+    ///
+    /// With `appends` given, records the per-node append slices
+    /// `(node, start, len)` the overlay commits wrote, in first-touch
+    /// order — the raw material of a [`MergeLog`](super::MergeLog).
     pub(super) fn expand_pairs(
         &mut self,
         a: NodeId,
         b: NodeId,
-        pairs: &[(f64, usize, usize)],
-    ) -> Vec<Expansion> {
+        pairs: &[RankedPair],
+        out: &mut Vec<Candidate>,
+        mut appends: Option<&mut Vec<(u32, u32, u32)>>,
+    ) -> f64 {
         let mut scratch = std::mem::take(&mut self.scratch);
-        let out = pairs
-            .iter()
-            .map(|&(_, ia, ib)| self.expand_one(a, b, ia, ib, &mut scratch))
-            .collect();
-        self.scratch = scratch;
-        out
-    }
-
-    fn expand_one(
-        &self,
-        a: NodeId,
-        b: NodeId,
-        ia: usize,
-        ib: usize,
-        scratch: &mut Scratch,
-    ) -> Expansion {
-        let mut ctx = self.ctx();
-        let (cands, residual) = ctx.expand_pair(a, b, ia, ib, scratch);
-        Expansion {
-            cands,
-            residual,
-            overlay: ctx.into_overlay(),
-        }
-    }
-
-    /// Commits expansions in ranked-pair order: overlay candidates are
-    /// appended to their nodes and every overlay-local provenance index is
-    /// remapped to its final position. Because expansions are computed
-    /// against the pre-merge snapshot and replayed in pair order, the
-    /// final candidate contents *and indices* are exactly what the old
-    /// single-borrow serial loop produced.
-    ///
-    /// With `record` set, additionally returns the per-node append slices
-    /// `(node, start, len)` this commit wrote (empty otherwise) — the raw
-    /// material of a [`MergeLog`].
-    pub(super) fn commit_expansions(
-        &mut self,
-        a: NodeId,
-        b: NodeId,
-        expansions: Vec<Expansion>,
-        record: bool,
-    ) -> (Vec<Candidate>, f64, Vec<(u32, u32, u32)>) {
-        // Pre-commit candidate counts of every overlay-touched node: any
-        // provenance index below the snapshot refers to a committed
-        // candidate; anything at or above is overlay-local to its pair.
-        // Expansions touch a handful of nodes, so `(node, count)`
-        // association lists (reused via scratch) beat hash maps here.
-        let mut snap = std::mem::take(&mut self.scratch.snap);
-        snap.clear();
-        for exp in &expansions {
-            for n in exp.overlay.nodes() {
-                if !snap.iter().any(|&(sn, _)| sn == n) {
-                    snap.push((n, self.nodes[n].cands.len()));
-                }
-            }
-        }
-        fn lookup(list: &[(usize, usize)], node: usize) -> Option<usize> {
-            list.iter().find(|&&(n, _)| n == node).map(|&(_, v)| v)
-        }
-        // Within one expansion's replay, a node's overlay candidates commit
-        // at consecutive indices (nothing else touches the node), so the
-        // remap only needs the node's candidate count at first touch.
-        fn remap(
-            bases: &[(usize, usize)],
-            snap: &[(usize, usize)],
-            node: usize,
-            idx: usize,
-        ) -> usize {
-            match lookup(snap, node) {
-                Some(s) if idx >= s => {
-                    lookup(bases, node).expect("remapped node has a base") + (idx - s)
-                }
-                _ => idx,
-            }
-        }
-        let mut bases = std::mem::take(&mut self.scratch.bases);
-        let mut cands: Vec<Candidate> = Vec::new();
         let mut worst_residual = 0.0f64;
-        for exp in expansions {
-            worst_residual = worst_residual.max(exp.residual);
-            // Committed index of this expansion's first overlay candidate,
-            // per node.
-            bases.clear();
-            for (n, mut cand) in exp.overlay.into_entries() {
-                if let CandKind::Merge { cand_a, cand_b, .. } = &mut cand.kind {
-                    let (l, r) = self.nodes[n]
-                        .children
-                        .expect("overlay candidates extend merge nodes");
-                    *cand_a = remap(&bases, &snap, l.0, *cand_a);
-                    *cand_b = remap(&bases, &snap, r.0, *cand_b);
-                }
-                if !bases.iter().any(|&(bn, _)| bn == n) {
-                    bases.push((n, self.nodes[n].cands.len()));
-                }
-                self.nodes[n].push_candidate(cand);
-            }
-            for mut cand in exp.cands {
-                if let CandKind::Merge { cand_a, cand_b, .. } = &mut cand.kind {
-                    *cand_a = remap(&bases, &snap, a.0, *cand_a);
-                    *cand_b = remap(&bases, &snap, b.0, *cand_b);
-                }
-                cands.push(cand);
+        for &(_, ia, ib) in pairs {
+            let mut ctx = self.ctx();
+            let residual = ctx.expand_pair(a, b, ia, ib, &mut scratch, out);
+            worst_residual = worst_residual.max(residual);
+            let overlay = ctx.into_overlay();
+            if !overlay.is_empty() {
+                self.commit_overlay(overlay, appends.as_deref_mut());
             }
         }
-        let mut appends = Vec::new();
-        if record {
-            for &(n, pre) in snap.iter() {
-                let now = self.nodes[n].cands.len();
-                if now > pre {
-                    appends.push((n as u32, pre as u32, (now - pre) as u32));
+        self.scratch = scratch;
+        worst_residual
+    }
+
+    /// Appends an expansion's overlay candidates to their nodes in overlay
+    /// order. The overlay numbered each node's candidates from the node's
+    /// count when the expansion started, so they land at exactly the
+    /// indices their provenance (and the merged candidates) already use.
+    fn commit_overlay(&mut self, overlay: Overlay, mut appends: Option<&mut Vec<(u32, u32, u32)>>) {
+        for (n, cand) in overlay.into_entries() {
+            if let Some(log) = appends.as_deref_mut() {
+                match log.iter_mut().find(|e| e.0 == n as u32) {
+                    Some(e) => e.2 += 1,
+                    None => log.push((n as u32, self.nodes[n].cands.len() as u32, 1)),
                 }
             }
+            self.nodes[n].push_candidate(cand);
         }
-        snap.clear();
-        bases.clear();
-        self.scratch.snap = snap;
-        self.scratch.bases = bases;
-        (cands, worst_residual, appends)
+    }
+
+    /// Builds the delay map of every merged candidate of `a` × `b` from its
+    /// provenance. Runs after pruning, so only survivors pay for a map.
+    pub(super) fn fill_delays(&self, a: NodeId, b: NodeId, cands: &mut [Candidate]) {
+        let ctx = self.ctx();
+        for c in cands {
+            if let CandKind::Merge {
+                cand_a,
+                cand_b,
+                ea,
+                eb,
+            } = c.kind
+            {
+                c.delays = ctx.merged_delays(a, b, cand_a, cand_b, ea, eb);
+            }
+        }
     }
 
     /// Keeps the `k` most promising candidates: cheapest wirelength first,
     /// larger regions (more downstream freedom) on ties. `total_cmp` so a
     /// poisoned (NaN) candidate sorts deterministically last instead of
-    /// panicking — the audit reports the damage.
+    /// panicking — the audit reports the damage. Reads only `wirelen` and
+    /// `region`, so it runs before the survivors' delay maps exist.
     pub(super) fn prune(cands: &mut Vec<Candidate>, k: usize) {
         cands.sort_by(|x, y| {
             let wl = x.wirelen.total_cmp(&y.wirelen);

@@ -19,10 +19,10 @@
 //!
 //! | module | contents |
 //! |---|---|
-//! | [`mod@self`] | [`MergeForest`]: construction, accessors, the `merge` orchestration (rank → expand → commit → prune/fuse) |
+//! | [`mod@self`] | [`MergeForest`]: construction, accessors, the `merge` orchestration (rank → expand/commit → prune → delay maps → fuse) |
 //! | `node` | [`NodeId`], the per-node candidate storage and cached hull / max-delay summaries |
 //! | `context` | `MergeCtx` (the immutable expansion view), the candidate `Overlay`, reusable `Scratch` buffers |
-//! | `expand` | candidate-pair expansion, the deterministic overlay-replay commit, candidate pruning |
+//! | `expand` | candidate-pair expansion, the overlay commit, candidate pruning, survivors' delay maps |
 //! | `pairing` | shared-constraint assembly, pair-cost estimation, cheapest-first candidate-pair ranking |
 //! | `cases` | the Fig. 6 case analysis: feasible splits, snaking, best-effort fallback |
 //! | `offset` | class fusing (steps 6–7) and recursive offset adjustment / wire sneaking |
@@ -32,12 +32,13 @@
 //!
 //! [`MergeForest::merge`] never hands `&mut self` to the case analysis.
 //! Instead it builds a `MergeCtx` — shared borrows of the node table,
-//! delay model, config and class state — and expands each ranked
-//! candidate pair against it. Anything an expansion *derives* (offset
-//! adjustment re-deriving child candidates) goes into the context's
-//! private overlay. Expansions only ever read state that predates the
-//! merge call, so they are independent, and the commit phase replays the
-//! overlays in ranked-pair order. See `context` for details.
+//! delay model, config and class state — per ranked candidate pair and
+//! expands the pair against it. The merged candidates are appended
+//! directly to one reused buffer; anything an expansion *derives* on
+//! existing nodes (offset adjustment re-deriving child candidates) goes
+//! into the context's private overlay, which is committed before the next
+//! pair only when it is non-empty. Merged candidates carry no delay map
+//! until pruning has picked the survivors. See `context` for details.
 
 use astdme_delay::DelayModel;
 use astdme_geom::{Point, Trr};
@@ -258,27 +259,17 @@ impl MergeForest {
         assert!(a != b, "cannot merge a node with itself");
         // Rank child-candidate pairs by estimated merge cost (distance plus
         // forced snaking / conflict-resolution cost); expand the best few.
-        // NaN costs sort last (total_cmp); as long as any finite-cost pair
-        // exists, NaN pairs are dropped here so poisoned estimates never
-        // reach expansion (where their NaN wirelengths would panic the
-        // pruning sort). An all-NaN ranking keeps the first pair and lets
-        // the audit flag the poisoned result downstream.
-        let mut pairs = self.rank_candidate_pairs(a, b);
-        if !pairs[0].0.is_nan() {
-            pairs.truncate(
-                pairs
-                    .iter()
-                    .position(|p| p.0.is_nan())
-                    .unwrap_or(pairs.len()),
-            );
-        } else {
-            pairs.truncate(1);
-        }
-        pairs.truncate(self.cfg.pair_limit);
-
-        let expansions = self.expand_pairs(a, b, &pairs);
-        let (mut cands, worst_residual, appends) =
-            self.commit_expansions(a, b, expansions, rec.is_some());
+        let mut pairs = std::mem::take(&mut self.scratch.pairs);
+        self.rank_candidate_pairs(a, b, &mut pairs);
+        let mut cands = std::mem::take(&mut self.scratch.merged);
+        let mut appends = Vec::new();
+        let worst_residual = self.expand_pairs(
+            a,
+            b,
+            &pairs,
+            &mut cands,
+            rec.is_some().then_some(&mut appends),
+        );
         if self.cfg.debug {
             if let Some(c) = cands.first() {
                 let d = self.nodes[a.0].cands[0]
@@ -303,10 +294,11 @@ impl MergeForest {
                 .region
                 .distance(&self.nodes[b.0].cands[ib].region);
             let half = 0.5 * d;
-            let fallback = self.ctx().build_candidate(a, b, ia, ib, half, d - half);
+            let fallback = self.ctx().merged(a, b, ia, ib, half, d - half);
             cands.push(fallback);
         }
         Self::prune(&mut cands, self.cfg.max_candidates);
+        self.fill_delays(a, b, &mut cands);
         self.residual = self.residual.max(worst_residual);
         let epoch_before = rec.as_ref().map_or(0, |r| r.epoch());
         if self.cfg.fuse_groups {
@@ -316,9 +308,15 @@ impl MergeForest {
             Some(r) if self.cfg.fuse_groups => r.note_class_state(&self.class_parent, &self.phi),
             _ => epoch_before,
         };
+        // Move the survivors into an exact-size list; the buffer keeps its
+        // capacity for the next merge.
+        let mut node_cands = Vec::with_capacity(cands.len());
+        node_cands.append(&mut cands);
+        self.scratch.pairs = pairs;
+        self.scratch.merged = cands;
         let id = NodeId(self.nodes.len());
-        let creation_len = cands.len();
-        self.nodes.push(Node::new(cands, Some((a, b)), None));
+        let creation_len = node_cands.len();
+        self.nodes.push(Node::new(node_cands, Some((a, b)), None));
         if let Some(r) = rec {
             r.logs.push(MergeLog {
                 a: a.0 as u32,

@@ -253,7 +253,12 @@ impl MergeCtx<'_> {
         let d_lr = lc2.region.distance(&rc2.region);
         let (el2, er2) = self.solve_common_shift(dl_base, dr_base, lc2.cap, rc2.cap, d_lr)?;
 
-        let new_cand = self.build_candidate(l, r, il2, ir2, el2, er2);
+        // Derived candidates are read by later steps of this expansion, so
+        // they carry their delay map from the start.
+        let new_cand = Candidate {
+            delays: self.merged_delays(l, r, il2, ir2, el2, er2),
+            ..self.merged(l, r, il2, ir2, el2, er2)
+        };
         Some(self.push_overlay(node, new_cand))
     }
 
@@ -312,12 +317,19 @@ impl MergeForest {
     /// Runs in the commit phase, after expansion: this is the one place
     /// the merge path mutates class state, so it stays on `&mut self`.
     pub(super) fn fuse_classes(&mut self, cands: &mut Vec<Candidate>) {
-        let classes = self.effective_entries(&cands[0].delays);
+        // The entry buffers come from the forest's scratch, so fusing
+        // allocates nothing per merge.
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let (classes, e) = (&mut scratch.ea, &mut scratch.eb);
+        let (parent, phi, bounds) = (&self.class_parent, &self.phi, &self.bounds);
+        classes.clear();
+        effective_entries_into(parent, phi, bounds, &cands[0].delays, classes);
         debug_assert!(
             classes.len() <= 2,
             "children each carry one class, so a merge sees at most two"
         );
         if classes.len() != 2 {
+            self.scratch = scratch;
             return;
         }
         let (keep, absorb) = (classes[0].0, classes[1].0);
@@ -325,9 +337,11 @@ impl MergeForest {
         // Retain offset-consistent candidates (the best always is).
         let keep_tol = self.cfg.skew_tol.max(1e-12 * delta.abs());
         cands.retain(|c| {
-            let e = self.effective_entries(&c.delays);
+            e.clear();
+            effective_entries_into(parent, phi, bounds, &c.delays, e);
             e.len() == 2 && (e[1].1 - e[0].1 - delta).abs() <= keep_tol
         });
+        self.scratch = scratch;
         debug_assert!(!cands.is_empty(), "best candidate is always consistent");
         // Prescribe: adjusted delays of the absorbed class align with the
         // kept class from now on, everywhere.
@@ -337,19 +351,5 @@ impl MergeForest {
             }
         }
         self.class_parent[absorb as usize] = keep;
-    }
-
-    /// Per-class adjusted delay hulls of a delay map:
-    /// `(class, adj_lo, adj_hi, min member bound)`, ascending by class.
-    fn effective_entries(&self, delays: &DelayMap) -> Vec<(u32, f64, f64, f64)> {
-        let mut out = Vec::with_capacity(delays.group_count());
-        effective_entries_into(
-            &self.class_parent,
-            &self.phi,
-            &self.bounds,
-            delays,
-            &mut out,
-        );
-        out
     }
 }

@@ -12,8 +12,9 @@
 //! value is a slice of it:
 //!
 //! * creation candidates of node `r` = the first `creation_len` entries of
-//!   `r`'s final candidate list (later appends are strictly suffix-only,
-//!   see `commit_expansions`);
+//!   `r`'s final candidate list (later appends are strictly suffix-only:
+//!   `commit_overlay` in `merge/expand.rs` commits each non-empty overlay
+//!   right after its expansion, before the next pair is expanded);
 //! * appended candidates = `cands[start..start + len]` of the touched
 //!   node's final list.
 //!

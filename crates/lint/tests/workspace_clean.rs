@@ -1,7 +1,9 @@
 //! Pins the live workspace lint-clean. This is the same check CI runs as
 //! `cargo run -p astdme_lint -- --expect-clean`, wired into `cargo test`
 //! so a violation fails fast locally too — with the offending
-//! `file:line: [rule]` lines in the panic message.
+//! `file:line: [rule]` lines in the panic message. It also reads the
+//! `--json` rendering back, so the machine-readable `clean` field stays
+//! covered.
 
 use std::path::Path;
 
@@ -27,5 +29,12 @@ fn live_workspace_lints_clean() {
         report.is_clean(),
         "workspace has lint violations:\n{}",
         rendered.join("\n")
+    );
+    let json = report.to_json();
+    let doc = astdme_json::parse(&json).expect("the report renders valid JSON");
+    assert_eq!(
+        doc.get("clean").and_then(astdme_json::Value::as_bool),
+        Some(true),
+        "the JSON report must read `\"clean\": true` on a clean workspace:\n{json}"
     );
 }

@@ -33,8 +33,18 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 use crate::IN_WORKER;
 
-/// A boxed unit of work handed to one parked worker.
-type Job = Box<dyn FnOnce() + Send + 'static>;
+/// A unit of work handed to one parked worker, plus the barrier latch (if
+/// any) the worker counts down after running the work *and* parking
+/// itself back in the idle list. A barrier caller that has returned
+/// therefore always finds its helpers idle again, so back-to-back
+/// barriers of one width reuse the same workers and never spawn.
+struct Job {
+    work: Work,
+    done: Option<Arc<Latch>>,
+}
+
+/// The work of a [`Job`].
+type Work = Box<dyn FnOnce() + Send + 'static>;
 
 /// A stashed panic payload from a helper, re-raised on the caller.
 type PanicSlot = Arc<Mutex<Option<Box<dyn std::any::Any + Send>>>>;
@@ -84,12 +94,15 @@ fn lock_idle() -> std::sync::MutexGuard<'static, Vec<Ticket>> {
 /// clone is gone, which never happens — the worker keeps one forever.
 fn worker_main(rx: Receiver<Job>, self_sender: Sender<Job>) {
     IN_WORKER.with(|w| w.set(true));
-    while let Ok(job) = rx.recv() {
+    while let Ok(Job { work, done }) = rx.recv() {
         // Submitters wrap their jobs in `catch_unwind` and route payloads
         // to the caller; this outer catch only keeps the worker alive if
         // a payload ever slips through a submitter's wrapper.
-        let _ = catch_unwind(AssertUnwindSafe(job));
+        let _ = catch_unwind(AssertUnwindSafe(work));
         lock_idle().push(Ticket(self_sender.clone()));
+        if let Some(latch) = done {
+            latch.count_down();
+        }
     }
 }
 
@@ -211,28 +224,30 @@ pub fn scope_with<R>(
     let latch = Arc::new(Latch::new(tickets.len()));
     let panic_slot: PanicSlot = Arc::new(Mutex::new(None));
     // SAFETY: `work` is only erased to `'static` so it can cross into the
-    // pool threads' job boxes. Every job that captures it counts down the
-    // latch as its final action, and this function — on both the return
-    // and the unwind path (`main` runs under `catch_unwind`) — waits for
-    // the latch before the borrow of `work` ends. No helper touches
-    // `work` after its countdown, so the reference never outlives the
-    // data it borrows.
+    // pool threads' job boxes. A worker counts down a job's latch only
+    // after the job's closure has run and been consumed (see
+    // `worker_main`), and this function — on both the return and the
+    // unwind path (`main` runs under `catch_unwind`) — waits for the
+    // latch before the borrow of `work` ends. No helper touches `work`
+    // after its countdown, so the reference never outlives the data it
+    // borrows.
     let work_static: &'static (dyn Fn(usize) + Sync) = unsafe { std::mem::transmute(work) };
     let mut running = 0usize;
     for ticket in tickets {
         let slot = running + 1;
-        let job_latch = Arc::clone(&latch);
         let panic_slot = Arc::clone(&panic_slot);
-        let job: Job = Box::new(move || {
-            let result = catch_unwind(AssertUnwindSafe(|| work_static(slot)));
-            if let Err(payload) = result {
-                let mut slot = panic_slot.lock().unwrap_or_else(|e| e.into_inner());
-                if slot.is_none() {
-                    *slot = Some(payload);
+        let job = Job {
+            work: Box::new(move || {
+                let result = catch_unwind(AssertUnwindSafe(|| work_static(slot)));
+                if let Err(payload) = result {
+                    let mut slot = panic_slot.lock().unwrap_or_else(|e| e.into_inner());
+                    if slot.is_none() {
+                        *slot = Some(payload);
+                    }
                 }
-            }
-            job_latch.count_down();
-        });
+            }),
+            done: Some(Arc::clone(&latch)),
+        };
         if ticket.0.send(job).is_ok() {
             running += 1;
         } else {
@@ -271,8 +286,12 @@ pub fn spawn_pooled<F: FnOnce() + Send + 'static>(job: F) {
     let mut tickets = checkout(1);
     match tickets.pop() {
         Some(ticket) => {
-            if let Err(failed) = ticket.0.send(Box::new(job)) {
-                fallback_thread(failed.0);
+            let job = Job {
+                work: Box::new(job),
+                done: None,
+            };
+            if let Err(failed) = ticket.0.send(job) {
+                fallback_thread(failed.0.work);
             }
         }
         None => fallback_thread(Box::new(job)),
@@ -283,8 +302,8 @@ pub fn spawn_pooled<F: FnOnce() + Send + 'static>(job: F) {
 /// possible, inline (still marked as a worker) as the last resort. The
 /// shared slot exists because a failed `spawn` does not hand the closure
 /// back — the job must survive the attempt either way.
-fn fallback_thread(job: Job) {
-    let shared: Arc<Mutex<Option<Job>>> = Arc::new(Mutex::new(Some(job)));
+fn fallback_thread(job: Work) {
+    let shared: Arc<Mutex<Option<Work>>> = Arc::new(Mutex::new(Some(job)));
     let for_thread = Arc::clone(&shared);
     let spawned = std::thread::Builder::new()
         .name("astdme-pool-overflow".into())
